@@ -150,10 +150,10 @@ void
 BM_InstrumentedSlicedThroughput(benchmark::State &state)
 {
     // The fused mode with the v3 slice recorder armed (default slice
-    // interval and checkpoint budget). The recorder is one decrement
-    // per retired instruction plus a counter snapshot every few
-    // thousand, so this must stay within a few percent of the plain
-    // instrumented rate above.
+    // interval and checkpoint budget) — the default profiling path.
+    // Same dispatch loop as the plain instrumented run above, whose
+    // recorder never cuts; the difference is the counter snapshot
+    // taken every few thousand retired instructions.
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());
     sim::DecodedProgram decoded(prog);
@@ -195,9 +195,10 @@ BENCHMARK(BM_InterpreterWithTimingModel);
 void
 BM_TimingModelDecodedReuse(benchmark::State &state)
 {
-    // The golden reference timing model over an existing decode: the
-    // prepared CoreModel steps on the timed dispatch mode. This is the
-    // baseline the specialized-engine numbers below are measured
+    // The golden reference timing model over an existing decode: a
+    // CoreModel attached as an ExecObserver (virtual call per event,
+    // scheduling metadata derived per retired instruction). This is
+    // the baseline the specialized-engine numbers below are measured
     // against (and differentially tested against for exactness).
     ir::Module m = lang::compile(kernelSrc, "k");
     auto prog = isa::lower(m, isa::targetX86());

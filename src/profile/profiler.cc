@@ -235,9 +235,9 @@ observerDynamicProfile(const isa::MachineProgram &prog,
                        const std::vector<int> &pc_to_block,
                        const ProfileOptions &opts,
                        const sim::SliceOptions &sopts,
-                       sim::SlicedCounters *slices)
+                       sim::SlicedCounters &slices)
 {
-    sim::SliceRecorder rec(sopts, slices);
+    sim::SliceRecorder rec(sopts, &slices);
     ProfileObserver obs(prog, pc_to_block, opts, rec);
     DynamicProfile d;
     d.exec = sim::execute(prog, &obs, opts.limits);
@@ -255,16 +255,12 @@ fusedDynamicProfile(const isa::MachineProgram &prog,
                     const std::vector<int> &block_start_pc,
                     const ProfileOptions &opts,
                     const sim::SliceOptions &sopts,
-                    sim::SlicedCounters *slices)
+                    sim::SlicedCounters &slices)
 {
     sim::DecodedProgram decoded(prog);
     sim::InstrumentedCounters c;
-    sim::ExecStats exec =
-        slices ? sim::executeInstrumentedSliced(
-                     decoded, opts.profilingCache, c, *slices, sopts,
-                     opts.limits)
-               : sim::executeInstrumented(decoded, opts.profilingCache,
-                                          c, opts.limits);
+    sim::ExecStats exec = sim::executeInstrumentedSliced(
+        decoded, opts.profilingCache, c, slices, sopts, opts.limits);
     DynamicProfile d =
         dynFromCounters(prog, pc_to_block, block_start_pc, c);
     d.exec = exec;
@@ -614,16 +610,17 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
                  opts.limits.engine == sim::ExecEngine::Predecoded;
     bool slicing =
         opts.sliceBaseLength > 0 && opts.maxSliceCheckpoints >= 2;
+    // A zero slice length leaves the recorder without an output.
     sim::SliceOptions sopts;
-    sopts.baseSliceLength = opts.sliceBaseLength;
+    sopts.baseSliceLength = slicing ? opts.sliceBaseLength : 0;
     sopts.maxSlices = opts.maxSliceCheckpoints;
     sim::SlicedCounters slices;
-    sim::SlicedCounters *sl = slicing ? &slices : nullptr;
     DynamicProfile dyn =
         fused ? fusedDynamicProfile(prog, st.pc_to_block,
-                                    st.block_start_pc, opts, sopts, sl)
+                                    st.block_start_pc, opts, sopts,
+                                    slices)
               : observerDynamicProfile(prog, st.pc_to_block, opts,
-                                       sopts, sl);
+                                       sopts, slices);
 
     StatisticalProfile profile;
     profile.workloadName = prog.name;

@@ -111,26 +111,51 @@ prepareTimingInst(const MInst &mi, const CoreConfig &cfg)
 }
 
 void
-CoreModel::prepare(const isa::MachineProgram &prog)
-{
-    prepared.clear();
-    prepared.reserve(prog.code.size());
-    for (const MInst &mi : prog.code)
-        prepared.push_back(prepareInst(mi));
-}
-
-void
 CoreModel::onInstruction(int pc, const MInst &mi)
 {
     retirePending();
-    beginInstruction(pc, prepareInst(mi));
+    PreparedTimingInst p = prepareTimingInst(mi, cfg);
+    pending.valid = true;
+    pending.pc = pc;
+    pending.cls = p.cls;
+    pending.extraLatency = p.fusedLoadLatency;
+    pending.dst = p.dst;
+    pending.numSrcs = p.numSrcs;
+    for (int i = 0; i < p.numSrcs; ++i)
+        pending.srcs[i] = p.srcs[i];
+    pending.isBranch = p.isBranch;
+    pending.taken = false;
+    pending.isCallRet = p.isCallRet;
+    pending.hasLoad = false;
+    pending.hasStore = false;
 }
 
 void
 CoreModel::onMemAccess(int, uint64_t addr, uint32_t size, bool is_write,
                        uint64_t)
 {
-    noteMemAccess(addr, size, is_write);
+    bool l1_hit = l1.access(addr, size);
+    bool l2_hit = true;
+    if (!l1_hit && cfg.hasL2)
+        l2_hit = l2cache.access(addr, size);
+    if (events && !l1_hit) {
+        ++events->l1Misses[static_cast<size_t>(pending.pc)];
+        if (cfg.hasL2 && !l2_hit)
+            ++events->l2Misses[static_cast<size_t>(pending.pc)];
+    }
+    if (is_write) {
+        pending.hasStore = true;
+        pending.storeAddr = addr >> 2; // word granularity
+        return; // stores retire without stalling the chain
+    }
+    pending.hasLoad = true;
+    pending.loadAddr = addr >> 2;
+    if (!l1_hit) {
+        pending.extraLatency += static_cast<uint64_t>(cfg.l1MissPenalty);
+        if (cfg.hasL2 && !l2_hit)
+            pending.extraLatency +=
+                static_cast<uint64_t>(cfg.l2MissPenalty);
+    }
 }
 
 void
@@ -248,8 +273,7 @@ simulateTiming(const DecodedProgram &prog, const CoreConfig &cfg,
 {
     if (engine == TimingEngine::Reference) {
         CoreModel model(cfg);
-        model.prepare(prog.program());
-        executeTimed(prog, model, limits);
+        execute(prog, &model, limits);
         return model.finish();
     }
     return simulateTiming(prog, TimedProgram(prog, cfg), cfg, limits);

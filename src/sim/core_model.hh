@@ -103,8 +103,8 @@ struct PreparedTimingInst
 /**
  * Derive one PC's scheduling metadata from its MInst — the single
  * source of truth for every timing path (the reference CoreModel
- * caches it per PC in prepare() or derives it on the fly as an
- * observer; TimedProgram folds it further for the specialized engine).
+ * derives it per retired instruction; TimedProgram folds it further,
+ * once per PC, for the specialized engine).
  */
 PreparedTimingInst prepareTimingInst(const isa::MInst &mi,
                                      const CoreConfig &cfg);
@@ -122,12 +122,11 @@ uint64_t timingBaseLatency(isa::MClass cls, const CoreConfig &cfg);
 
 /**
  * The reference timing model. Consumes the dynamic stream as an
- * ExecObserver (attach to sim::execute() and call finish()
- * afterwards) or non-virtually through the timed dispatch mode
- * (executeTimed) once prepare()d. The default timing path is the
- * specialized engine in sim/timed_core.hh; this class is the golden
- * model it is differentially tested against — select it at run time
- * with TimingEngine::Reference when debugging.
+ * ExecObserver: attach to sim::execute() and call finish() afterwards.
+ * The default timing path is the specialized engine in
+ * sim/timed_core.hh; this class is the golden model it is
+ * differentially tested against — select it at run time with
+ * TimingEngine::Reference when debugging.
  */
 class CoreModel : public ExecObserver
 {
@@ -140,22 +139,6 @@ class CoreModel : public ExecObserver
                      bool is_write, uint64_t raw_value = 0) override;
     void onBranch(int pc, bool taken) override;
 
-    /**
-     * Precompute the per-PC scheduling metadata (timing class, source
-     * registers, fused-load latency...) of @p prog so the timed
-     * dispatch mode (sim::executeTimed) can step the model without
-     * re-deriving any of it from the MInst per retired instruction.
-     */
-    void prepare(const isa::MachineProgram &prog);
-
-    /** Non-virtual onInstruction over prepare()d metadata. */
-    void
-    stepPrepared(int pc)
-    {
-        retirePending();
-        beginInstruction(pc, prepared[static_cast<size_t>(pc)]);
-    }
-
     /** Attach per-PC event counters (differential testing). */
     void
     recordEvents(PerPcTimingEvents *e, size_t nPcs)
@@ -165,45 +148,12 @@ class CoreModel : public ExecObserver
             events->init(nPcs);
     }
 
-    /** Non-virtual onMemAccess (width-aware cache simulation). */
-    void
-    noteMemAccess(uint64_t addr, uint32_t size, bool is_write)
-    {
-        bool l1_hit = l1.access(addr, size);
-        bool l2_hit = true;
-        if (!l1_hit && cfg.hasL2)
-            l2_hit = l2cache.access(addr, size);
-        if (events && !l1_hit) {
-            ++events->l1Misses[static_cast<size_t>(pending.pc)];
-            if (cfg.hasL2 && !l2_hit)
-                ++events->l2Misses[static_cast<size_t>(pending.pc)];
-        }
-        if (is_write) {
-            pending.hasStore = true;
-            pending.storeAddr = addr >> 2; // word granularity
-            return; // stores retire without stalling the chain
-        }
-        pending.hasLoad = true;
-        pending.loadAddr = addr >> 2;
-        if (!l1_hit) {
-            pending.extraLatency +=
-                static_cast<uint64_t>(cfg.l1MissPenalty);
-            if (cfg.hasL2 && !l2_hit)
-                pending.extraLatency +=
-                    static_cast<uint64_t>(cfg.l2MissPenalty);
-        }
-    }
-
-    /** Non-virtual onBranch. */
-    void noteBranch(bool taken) { pending.taken = taken; }
-
     /** Finalize the last in-flight instruction and return the totals. */
     TimingStats finish();
 
     const CoreConfig &config() const { return cfg; }
 
   private:
-    using PreparedInst = PreparedTimingInst;
     struct Pending
     {
         bool valid = false;
@@ -222,32 +172,6 @@ class CoreModel : public ExecObserver
         bool hasStore = false;
     };
 
-    PreparedInst
-    prepareInst(const isa::MInst &mi) const
-    {
-        return prepareTimingInst(mi, cfg);
-    }
-
-    /** Load @p p into the in-flight slot (shared by stepPrepared and
-     *  the virtual onInstruction). */
-    void
-    beginInstruction(int pc, const PreparedInst &p)
-    {
-        pending.valid = true;
-        pending.pc = pc;
-        pending.cls = p.cls;
-        pending.extraLatency = p.fusedLoadLatency;
-        pending.dst = p.dst;
-        pending.numSrcs = p.numSrcs;
-        for (int i = 0; i < p.numSrcs; ++i)
-            pending.srcs[i] = p.srcs[i];
-        pending.isBranch = p.isBranch;
-        pending.taken = false;
-        pending.isCallRet = p.isCallRet;
-        pending.hasLoad = false;
-        pending.hasStore = false;
-    }
-
     void retirePending();
     uint64_t baseLatency(isa::MClass cls) const;
     uint64_t &regReady(int r);
@@ -256,7 +180,6 @@ class CoreModel : public ExecObserver
     Cache l1;
     Cache l2cache;
     std::unique_ptr<BranchPredictor> pred;
-    std::vector<PreparedInst> prepared; ///< per PC, empty until prepare()
 
     Pending pending;
     std::vector<uint64_t> ready; ///< per-register ready cycle
@@ -299,7 +222,7 @@ enum class TimingEngine : uint8_t
 class TimedProgram;
 
 /** Convenience: execute @p prog under a core model; @return timing.
- *  Decodes once and runs the timed dispatch mode. */
+ *  Decodes once and runs the selected timing engine. */
 TimingStats simulateTiming(const isa::MachineProgram &prog,
                            const CoreConfig &cfg,
                            const ExecLimits &limits = {},

@@ -493,11 +493,14 @@ struct ObserverHooks
  * The fused profiling mode: dense per-PC counters plus the profiling
  * cache, with Cache::access() inlined into the memory handlers. The
  * branch accounting mirrors profile::BranchStats::record() exactly.
+ * Slice checkpointing costs one compare per retired instruction (the
+ * cut itself is cold); a recorder without an output never cuts.
  */
 struct ProfileHooks
 {
     InstrumentedCounters &c;
     Cache cache;
+    SliceRecorder &rec;
 
     struct Local
     {};
@@ -507,6 +510,7 @@ struct ProfileHooks
     BSYN_HOOK_INLINE void
     onInstruction(Local &, int pc)
     {
+        rec.beforeRetire(c);
         ++c.execCount[static_cast<size_t>(pc)];
     }
     BSYN_HOOK_INLINE void
@@ -539,49 +543,6 @@ struct ProfileHooks
         if (!cache.access(addr, size))
             ++c.memMisses[static_cast<size_t>(pc)];
     }
-};
-
-/** The fused profiling mode with slice checkpointing: ProfileHooks
- *  plus one compare per retired instruction (the cut itself is cold). */
-struct SlicedProfileHooks : ProfileHooks
-{
-    SliceRecorder &rec;
-
-    SlicedProfileHooks(InstrumentedCounters &counters, Cache c,
-                       SliceRecorder &r)
-        : ProfileHooks{counters, std::move(c)}, rec(r)
-    {}
-
-    BSYN_HOOK_INLINE void
-    onInstruction(Local &l, int pc)
-    {
-        rec.beforeRetire(c);
-        ProfileHooks::onInstruction(l, pc);
-    }
-};
-
-/** The timed mode: a prepared CoreModel stepped non-virtually. */
-struct TimingHooks
-{
-    CoreModel &model;
-
-    struct Local
-    {};
-    BSYN_HOOK_INLINE Local enter() { return {}; }
-    BSYN_HOOK_INLINE void leave(Local &) {}
-
-    BSYN_HOOK_INLINE void onInstruction(Local &, int pc) { model.stepPrepared(pc); }
-    BSYN_HOOK_INLINE void
-    onMemRead(Local &, int, uint64_t addr, uint32_t size, uint64_t)
-    {
-        model.noteMemAccess(addr, size, false);
-    }
-    BSYN_HOOK_INLINE void
-    onMemWrite(Local &, int, uint64_t addr, uint32_t size, uint64_t)
-    {
-        model.noteMemAccess(addr, size, true);
-    }
-    BSYN_HOOK_INLINE void onBranch(Local &, int, bool taken) { model.noteBranch(taken); }
 };
 
 /** The specialized timed mode: a TimedCore stepped over the dense
@@ -1260,6 +1221,23 @@ done:
     return std::move(stats);
 }
 
+/** The one profiling loop: aggregate counters into @p out, slice
+ *  checkpoints wherever @p rec has an output. */
+ExecStats
+runProfile(const DecodedProgram &prog, const CacheConfig &profiling_cache,
+           InstrumentedCounters &out, SliceRecorder &rec,
+           const ExecLimits &limits)
+{
+    out.execCount.assign(prog.size(), 0);
+    out.memAccesses.assign(prog.size(), 0);
+    out.memMisses.assign(prog.size(), 0);
+    out.branch.assign(prog.size(), InstrumentedCounters::Branch());
+    ProfileHooks hooks{out, Cache(profiling_cache), rec};
+    ExecStats stats = Engine<ProfileHooks>(prog, hooks, limits).run();
+    rec.finish(out);
+    return stats;
+}
+
 } // namespace
 
 ExecStats
@@ -1272,19 +1250,6 @@ execute(const DecodedProgram &prog, ExecObserver *observer,
     }
     NullHooks hooks;
     return Engine<NullHooks>(prog, hooks, limits).run();
-}
-
-ExecStats
-executeInstrumented(const DecodedProgram &prog,
-                    const CacheConfig &profiling_cache,
-                    InstrumentedCounters &out, const ExecLimits &limits)
-{
-    out.execCount.assign(prog.size(), 0);
-    out.memAccesses.assign(prog.size(), 0);
-    out.memMisses.assign(prog.size(), 0);
-    out.branch.assign(prog.size(), InstrumentedCounters::Branch());
-    ProfileHooks hooks{out, Cache(profiling_cache)};
-    return Engine<ProfileHooks>(prog, hooks, limits).run();
 }
 
 SliceRecorder::SliceRecorder(const SliceOptions &opts, SlicedCounters *out)
@@ -1335,6 +1300,15 @@ SliceRecorder::finish(const InstrumentedCounters &c)
 }
 
 ExecStats
+executeInstrumented(const DecodedProgram &prog,
+                    const CacheConfig &profiling_cache,
+                    InstrumentedCounters &out, const ExecLimits &limits)
+{
+    SliceRecorder rec(SliceOptions{}, nullptr);
+    return runProfile(prog, profiling_cache, out, rec, limits);
+}
+
+ExecStats
 executeInstrumentedSliced(const DecodedProgram &prog,
                           const CacheConfig &profiling_cache,
                           InstrumentedCounters &out,
@@ -1342,23 +1316,8 @@ executeInstrumentedSliced(const DecodedProgram &prog,
                           const SliceOptions &slice_opts,
                           const ExecLimits &limits)
 {
-    out.execCount.assign(prog.size(), 0);
-    out.memAccesses.assign(prog.size(), 0);
-    out.memMisses.assign(prog.size(), 0);
-    out.branch.assign(prog.size(), InstrumentedCounters::Branch());
     SliceRecorder rec(slice_opts, &slices);
-    SlicedProfileHooks hooks(out, Cache(profiling_cache), rec);
-    ExecStats stats = Engine<SlicedProfileHooks>(prog, hooks, limits).run();
-    rec.finish(out);
-    return stats;
-}
-
-ExecStats
-executeTimed(const DecodedProgram &prog, CoreModel &model,
-             const ExecLimits &limits)
-{
-    TimingHooks hooks{model};
-    return Engine<TimingHooks>(prog, hooks, limits).run();
+    return runProfile(prog, profiling_cache, out, rec, limits);
 }
 
 ExecStats

@@ -6,9 +6,12 @@
  * signedness and access width folded into a precomputed handler id,
  * branch targets and callees validated — and grouped into basic blocks.
  * The dispatch loop threads through a computed-goto table (a plain
- * switch on non-GNU compilers) with a separate fast path when no
- * ExecObserver is attached, so the per-step field-chasing and nested
- * switches of the reference interpreter disappear from the hot path.
+ * switch on non-GNU compilers), so the per-step field-chasing and
+ * nested switches of the reference interpreter disappear from the hot
+ * path. It is compiled once per purpose: the observer-free fast path
+ * and the generic ExecObserver path of execute(), the profiling loop
+ * of executeInstrumented()/executeInstrumentedSliced(), and the
+ * specialized timer of executeTimedSpecialized() (sim/timed_core.hh).
  *
  * The decoded form is a pure accelerator: executing it produces
  * ExecStats byte-identical to the reference engine (asserted by the
@@ -27,8 +30,6 @@
 
 namespace bsyn::sim
 {
-
-class CoreModel;
 
 /**
  * Precomputed handler id: the MKind/opcode/type/signedness decision
@@ -303,7 +304,9 @@ struct SlicedCounters
  * differential-profile suite depends on it). beforeRetire() must be
  * called before each instruction's counters are bumped: a boundary cut
  * therefore lands between instructions, never splitting one
- * instruction's retire/memory/branch events across two slices.
+ * instruction's retire/memory/branch events across two slices. A
+ * recorder without an output (null @p out or a zero baseSliceLength)
+ * never cuts: its boundary stays out of reach.
  */
 class SliceRecorder
 {
@@ -313,7 +316,7 @@ class SliceRecorder
     void
     beforeRetire(const InstrumentedCounters &c)
     {
-        if (out_ && retired_ == nextBoundary_)
+        if (retired_ == nextBoundary_)
             cut(c);
         ++retired_;
     }
@@ -327,15 +330,16 @@ class SliceRecorder
     SlicedCounters *out_;
     uint64_t retired_ = 0;
     uint64_t sliceLen_ = 0;
-    uint64_t nextBoundary_ = 0;
+    uint64_t nextBoundary_ = ~0ull; ///< never reached without out_
     uint32_t maxSlices_ = 0;
 };
 
 /**
  * executeInstrumented() plus the deterministic slice stream: identical
  * semantics, ExecStats and aggregate counters, with @p slices filled
- * with cumulative checkpoints under @p slice_opts. The plain
- * instrumented path is untouched — slicing costs it nothing.
+ * with cumulative checkpoints under @p slice_opts. Both entry points
+ * run the same dispatch loop; executeInstrumented() hands it a
+ * recorder without an output, as does a zero baseSliceLength here.
  */
 ExecStats executeInstrumentedSliced(const DecodedProgram &prog,
                                     const CacheConfig &profiling_cache,
@@ -343,16 +347,6 @@ ExecStats executeInstrumentedSliced(const DecodedProgram &prog,
                                     SlicedCounters &slices,
                                     const SliceOptions &slice_opts = {},
                                     const ExecLimits &limits = {});
-
-/**
- * Execute under @p model (timing) on the non-virtual timed dispatch
- * mode: the model must have been prepared for this program
- * (CoreModel::prepare), so each step consumes precomputed per-PC
- * metadata instead of re-deriving operands from the MInst. Call
- * model.finish() afterwards, as with the observer path.
- */
-ExecStats executeTimed(const DecodedProgram &prog, CoreModel &model,
-                       const ExecLimits &limits = {});
 
 } // namespace bsyn::sim
 

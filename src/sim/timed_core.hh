@@ -11,8 +11,9 @@
  * differential-timing suite asserts TimingStats, ExecStats and the
  * per-PC event counters identical).
  *
- * What makes it faster than the reference CoreModel stepped through
- * TimingHooks:
+ * What makes it faster than the reference CoreModel:
+ *  - no virtual ExecObserver call per event: the hooks are inlined
+ *    into the engine's own dispatch loop;
  *  - no virtual predictor calls (and no double predict: the reference
  *    predicts once for the mispredict check and once inside
  *    BranchPredictor::branch(); FlatPredictor resolves both with one
@@ -57,7 +58,7 @@ namespace bsyn::sim
 
 /**
  * Scheduling metadata of one program prepared for one latency
- * configuration: the per-PC half of CoreModel::prepare() with the
+ * configuration: prepareTimingInst() of every PC with the
  * base latency pre-folded (so the scheduler adds one precomputed
  * number instead of switching on the class) and the predictor table
  * index pre-masked. Depends on the CoreConfig only through
@@ -753,7 +754,7 @@ class TimedCore
 /**
  * Execute @p prog under the specialized timing engine. @p timed must
  * be prepared from the same decode; call core.finish() afterwards.
- * Semantics and ExecStats are identical to execute()/executeTimed().
+ * Semantics and ExecStats are identical to execute().
  */
 ExecStats executeTimedSpecialized(const DecodedProgram &prog,
                                   const TimedProgram &timed,

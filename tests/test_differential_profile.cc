@@ -78,6 +78,35 @@ expectProfilesIdentical(const ir::Module &m, const std::string &label)
     EXPECT_EQ(edgeSet(ref), edgeSet(fused)) << label;
     EXPECT_EQ(ref.dynamicInstructions, fused.dynamicInstructions)
         << label;
+
+    // Slicing off (--phase-slices 0): the recorder has no output.
+    profile::ProfileOptions unsliced;
+    unsliced.sliceBaseLength = 0;
+    profile::ProfileOptions unsliced_ref = observerOptions();
+    unsliced_ref.sliceBaseLength = 0;
+    EXPECT_EQ(profile::profileModule(m, unsliced_ref).serialize(),
+              profile::profileModule(m, unsliced).serialize())
+        << label << " [unsliced]";
+}
+
+void
+expectCountersEqual(const sim::InstrumentedCounters &a,
+                    const sim::InstrumentedCounters &b,
+                    const std::string &label)
+{
+    EXPECT_EQ(a.execCount, b.execCount) << label;
+    EXPECT_EQ(a.memAccesses, b.memAccesses) << label;
+    EXPECT_EQ(a.memMisses, b.memMisses) << label;
+    ASSERT_EQ(a.branch.size(), b.branch.size()) << label;
+    for (size_t pc = 0; pc < a.branch.size(); ++pc) {
+        const auto &x = a.branch[pc];
+        const auto &y = b.branch[pc];
+        EXPECT_TRUE(x.executions == y.executions && x.taken == y.taken &&
+                    x.transitions == y.transitions &&
+                    x.lastOutcome == y.lastOutcome &&
+                    x.hasLast == y.hasLast)
+            << label << " branch counters at pc " << pc;
+    }
 }
 
 class WorkloadProfileDifferential
@@ -122,6 +151,20 @@ TEST_P(WorkloadProfileDifferential, InstrumentedExecStatsIdentical)
     EXPECT_EQ(accesses, inst.memReads + inst.memWrites) << w.name();
     EXPECT_EQ(branches, inst.branches) << w.name();
     EXPECT_EQ(taken, inst.takenBranches) << w.name();
+
+    // Slicing changes nothing but the slice stream, whose final
+    // snapshot is the aggregate.
+    sim::InstrumentedCounters sc;
+    sim::SlicedCounters slices;
+    sim::ExecStats sliced = sim::executeInstrumentedSliced(
+        decoded, sim::CacheConfig(), sc, slices);
+    EXPECT_TRUE(inst == sliced) << w.name();
+    expectCountersEqual(c, sc, w.name() + " [sliced]");
+    ASSERT_FALSE(slices.snapshots.empty()) << w.name();
+    EXPECT_EQ(slices.snapshots.back().retired, inst.instructions)
+        << w.name();
+    expectCountersEqual(sc, slices.snapshots.back().counters,
+                        w.name() + " [final snapshot]");
 }
 
 std::string

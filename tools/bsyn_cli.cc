@@ -45,6 +45,8 @@
  *       stream of generated/suite workloads against one warm session
  *       (or, with --spool, through in-process serve workers) and
  *       report per-stage latency percentiles and achieved rate
+ *   bsyn help (or --help, -h)
+ *       print the usage text to stdout and exit 0
  *
  * suite and fidelity accept --shard i/N: the resolved batch is
  * partitioned by a stable hash of each workload's canonical name, so N
@@ -1042,10 +1044,10 @@ cmdReplay(const Args &args)
 }
 
 void
-usage()
+usage(FILE *out = stderr)
 {
     std::fprintf(
-        stderr,
+        out,
         "bsyn — benchmark synthesis for architecture and compiler "
         "exploration\n\n"
         "  bsyn run <prog.c> [-O0..-O3] [--target x86|x86_64|ia64]\n"
@@ -1079,6 +1081,7 @@ usage()
         "              [--seed S] [--threads N] [--population N] "
         "[-o out.json]\n"
         "              [--results-only] [--spool <dir> [--workers N]]\n"
+        "  bsyn help | --help | -h\n"
         "\n"
         "replay schedules are 'constant,rate=R', "
         "'bursty,rate=R[,on_ms=A,off_ms=B]'\nor "
@@ -1157,6 +1160,10 @@ main(int argc, char **argv)
         return 2;
     }
     std::string cmd = argv[1];
+    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+        usage(stdout);
+        return 0;
+    }
 
     // Argument errors (unknown flag, bad --target, malformed number)
     // print the usage text and exit 2; failures while carrying out a
