@@ -1,5 +1,7 @@
 #include "pipeline/session.hh"
 
+#include <optional>
+
 #include "isa/lowering.hh"
 #include "lang/frontend.hh"
 #include "obs/trace.hh"
@@ -93,6 +95,15 @@ benchmarkFromJson(const Json &j)
     return b;
 }
 
+/** A memory-tier entry holding @p text, without the spare capacity
+ *  that building it by appending left behind. */
+std::shared_ptr<std::string>
+memoText(std::string text)
+{
+    text.shrink_to_fit();
+    return std::make_shared<std::string>(std::move(text));
+}
+
 } // namespace
 
 SessionOptions::SessionOptions() : synthesis(defaultSynthesisOptions()) {}
@@ -101,50 +112,29 @@ SessionOptions::SessionOptions() : synthesis(defaultSynthesisOptions()) {}
  *  back-reference into prog stays valid for the entry's lifetime. */
 struct Session::DecodedMeasure
 {
-    isa::MachineProgram prog;
-    std::unique_ptr<sim::DecodedProgram> decoded;
-};
-
-std::shared_ptr<const Session::DecodedMeasure>
-Session::decodeForMeasure(const std::string &source)
-{
-    Sha256 h;
-    h.update(source);
-    std::string key = h.hexDigest();
-
+    explicit DecodedMeasure(const std::string &source)
+        : prog(isa::lower(lang::compile(source, "measure"),
+                          isa::targetX86())),
+          decoded(prog)
     {
-        std::lock_guard<std::mutex> lock(decodeMtx_);
-        auto it = decodeCache_.find(key);
-        if (it != decodeCache_.end()) {
-            decodeHits_.add();
-            return it->second;
-        }
     }
-    decodeMisses_.add();
+    DecodedMeasure(const DecodedMeasure &) = delete;
+    DecodedMeasure &operator=(const DecodedMeasure &) = delete;
 
-    // Build outside the lock — calibration measurements run from pool
-    // workers concurrently, and a duplicate build on a race is merely
-    // redundant work (both builds are deterministic and identical).
-    auto entry = std::make_shared<DecodedMeasure>();
-    ir::Module mod = lang::compile(source, "measure");
-    entry->prog = isa::lower(mod, isa::targetX86());
-    entry->decoded = std::make_unique<sim::DecodedProgram>(entry->prog);
-
-    std::lock_guard<std::mutex> lock(decodeMtx_);
-    // Calibration touches a handful of candidate sources per workload;
-    // the clamp only exists so a pathological caller measuring endless
-    // distinct sources cannot grow the session without bound.
-    if (decodeCache_.size() >= 512)
-        decodeCache_.clear();
-    auto [it, inserted] = decodeCache_.emplace(key, std::move(entry));
-    (void)inserted;
-    return it->second;
-}
+    isa::MachineProgram prog;
+    sim::DecodedProgram decoded;
+};
 
 uint64_t
 Session::measureInstructions(const std::string &source)
 {
-    return sim::execute(*decodeForMeasure(source)->decoded).instructions;
+    Sha256 h;
+    h.update(source);
+    auto measure = decodeMemo_.get(h.hexDigest(), [&] {
+        decodeMisses_.add();
+        return std::make_shared<DecodedMeasure>(source);
+    });
+    return sim::execute(measure->decoded).instructions;
 }
 
 Session::Session(SessionOptions opts)
@@ -156,7 +146,14 @@ Session::Session(SessionOptions opts)
       synthHits_(metrics_.counter("pipeline.cache.synth.hits")),
       synthMisses_(metrics_.counter("pipeline.cache.synth.misses")),
       decodeHits_(metrics_.counter("pipeline.memo.decode.hits")),
-      decodeMisses_(metrics_.counter("pipeline.memo.decode.misses"))
+      decodeMisses_(metrics_.counter("pipeline.memo.decode.misses")),
+      profileMemo_(kMemoCapacity,
+                   metrics_.counter("pipeline.memo.profile.hits"),
+                   metrics_.counter("pipeline.memo.profile.waits")),
+      synthMemo_(kMemoCapacity, metrics_.counter("pipeline.memo.synth.hits"),
+                 metrics_.counter("pipeline.memo.synth.waits")),
+      decodeMemo_(kMemoCapacity, decodeHits_,
+                  metrics_.counter("pipeline.memo.decode.waits"))
 {
 }
 
@@ -208,31 +205,32 @@ Session::profile(const std::string &source, const std::string &name,
     std::string key = ArtifactCache::key(
         "profile.v3",
         {name, source, profilingFingerprint(options_.profiling)});
-    std::string text;
-    bool hit;
-    {
-        obs::Span probe("cache-probe", "stage", "profile");
-        hit = cache_.load(key, text);
-    }
-    if (hit) {
-        profileHits_.add();
-        span.arg("cache", "hit");
-        if (cached)
-            *cached = true;
-        return bsyn::profile::StatisticalProfile::deserialize(text);
-    }
-    profileMisses_.add();
-    span.arg("cache", "miss");
+    std::optional<bsyn::profile::StatisticalProfile> computed;
+    auto text = profileMemo_.get(key, [&] {
+        std::string t;
+        {
+            obs::Span probe("cache-probe", "stage", "profile");
+            if (cache_.load(key, t))
+                return memoText(std::move(t));
+        }
+        profileMisses_.add();
+        ir::Module mod;
+        {
+            obs::Span cspan("compile", "workload", name);
+            mod = lang::compile(source, name); // -O0 shape
+        }
+        computed = bsyn::profile::profileModule(mod, options_.profiling);
+        t = computed->serialize();
+        cache_.store(key, t);
+        return memoText(std::move(t));
+    });
+    span.arg("cache", computed ? "miss" : "hit");
     if (cached)
-        *cached = false;
-    ir::Module mod;
-    {
-        obs::Span cspan("compile", "workload", name);
-        mod = lang::compile(source, name); // -O0 shape
-    }
-    auto prof = bsyn::profile::profileModule(mod, options_.profiling);
-    cache_.store(key, prof.serialize());
-    return prof;
+        *cached = !computed;
+    if (computed)
+        return std::move(*computed);
+    profileHits_.add();
+    return bsyn::profile::StatisticalProfile::deserialize(*text);
 }
 
 bsyn::profile::StatisticalProfile
@@ -251,40 +249,45 @@ Session::synthesize(const bsyn::profile::StatisticalProfile &prof,
     obs::Span span("synthesize", "workload", prof.workloadName);
     std::string key = ArtifactCache::key(
         "synth.v3", {synthesisFingerprint(opts), prof.serialize()});
-    std::string text;
-    bool hit;
-    {
-        obs::Span probe("cache-probe", "stage", "synthesize");
-        hit = cache_.load(key, text);
-    }
-    if (hit) {
-        synthHits_.add();
-        span.arg("cache", "hit");
-        if (cached)
-            *cached = true;
-        return benchmarkFromJson(Json::parse(text));
-    }
-    synthMisses_.add();
-    span.arg("cache", "miss");
+    std::optional<synth::SyntheticBenchmark> computed;
+    auto compute = [&] {
+        std::string t;
+        {
+            obs::Span probe("cache-probe", "stage", "synthesize");
+            if (cache_.load(key, t))
+                return memoText(std::move(t));
+        }
+        synthMisses_.add();
+        // Calibration candidates fan across the session pool (intra-
+        // workload parallelism); under processSuite the nested
+        // parallelFor degrades to inline execution on the worker, and
+        // either way the clone bytes are schedule-independent.
+        computed = synth::synthesize(
+            prof, opts,
+            [this](const std::string &src) {
+                return measureInstructions(src);
+            },
+            [this](size_t n, const std::function<void(size_t)> &fn) {
+                if (n <= 1) {
+                    for (size_t i = 0; i < n; ++i)
+                        fn(i);
+                    return;
+                }
+                parallelFor(n, fn);
+            });
+        t = benchmarkToJson(*computed).dump(-1);
+        cache_.store(key, t);
+        return memoText(std::move(t));
+    };
+    // The calibration fan-out may block on the pool (see Memo::get).
+    auto text = synthMemo_.get(key, compute, /*fansOut=*/true);
+    span.arg("cache", computed ? "miss" : "hit");
     if (cached)
-        *cached = false;
-    // Calibration candidates fan across the session pool (intra-
-    // workload parallelism); under processSuite the nested parallelFor
-    // degrades to inline execution on the worker, and either way the
-    // clone bytes are schedule-independent.
-    auto syn = synth::synthesize(
-        prof, opts,
-        [this](const std::string &src) { return measureInstructions(src); },
-        [this](size_t n, const std::function<void(size_t)> &fn) {
-            if (n <= 1) {
-                for (size_t i = 0; i < n; ++i)
-                    fn(i);
-                return;
-            }
-            parallelFor(n, fn);
-        });
-    cache_.store(key, benchmarkToJson(syn).dump(-1));
-    return syn;
+        *cached = !computed;
+    if (computed)
+        return std::move(*computed);
+    synthHits_.add();
+    return benchmarkFromJson(Json::parse(*text));
 }
 
 synth::SyntheticBenchmark

@@ -1,11 +1,12 @@
 /**
  * @file
  * pipeline::Session — the stage-oriented entry point to the paper's
- * Figure-1 flow. A Session owns the worker thread pool and a
- * content-addressed ArtifactCache, and exposes each stage (compile,
- * profile, synthesize, process, processSuite) as a first-class call so
- * any prefix of the flow can be reused or resumed: a warm cache makes a
- * suite re-run skip every profile and synthesis while producing
+ * Figure-1 flow. A Session owns the worker thread pool and two
+ * content-addressed artifact tiers (a bounded in-memory memo in front
+ * of the disk ArtifactCache), and exposes each stage (compile, profile,
+ * synthesize, process, processSuite) as a first-class call so any
+ * prefix of the flow can be reused or resumed: a warm session or cache
+ * skips every repeated profile and synthesis while producing
  * byte-identical output, and batch results stream into a RunSink
  * instead of accumulating in memory.
  */
@@ -13,15 +14,14 @@
 #ifndef BSYN_PIPELINE_SESSION_HH
 #define BSYN_PIPELINE_SESSION_HH
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hh"
 #include "pipeline/artifact_cache.hh"
+#include "pipeline/memo.hh"
 #include "pipeline/pipeline.hh"
 #include "pipeline/run_sink.hh"
 #include "profile/profiler.hh"
@@ -70,14 +70,17 @@ struct SessionOptions
  *  also aggregate process-wide through the parent chain. */
 struct CacheStats
 {
+    /** Profiles and clones served (from the memory or the disk tier,
+     *  or by waiting for a concurrent caller's computation) vs.
+     *  computed: misses count computations, whichever tier is on. */
     uint64_t profileHits = 0;
     uint64_t profileMisses = 0;
     uint64_t synthHits = 0;
     uint64_t synthMisses = 0;
 
-    /** In-memory decoded-program cache for calibration measurements;
-     *  tracked separately from the on-disk artifact counters (hits()
-     *  and misses() describe artifact-cache traffic only). */
+    /** Decoded calibration programs served from memory vs. built.
+     *  Tracked apart from the artifact counters: hits() and misses()
+     *  describe profiles and clones only. */
     uint64_t decodeHits = 0;
     uint64_t decodeMisses = 0;
 
@@ -87,10 +90,17 @@ struct CacheStats
 
 /**
  * A pipeline session: stage entry points plus the shared state — thread
- * pool, artifact cache, hit/miss counters — that lets stages compose
+ * pool, artifact tiers, hit/miss counters — that lets stages compose
  * and repeated runs reuse earlier work. Stage calls are thread-safe and
  * may be issued from the session's own pool workers (the batch path
  * does exactly that).
+ *
+ * Profiles and clones are looked up in memory first, then on disk (when
+ * a cache directory is set), then computed and stored to both. Lookups
+ * are single-flight: concurrent calls for one key compute it once, the
+ * first caller computing and the others waiting for its result. The
+ * memory tier keeps the disk tier's text, so a memory hit decodes the
+ * same bytes a disk hit would.
  */
 class Session
 {
@@ -142,10 +152,11 @@ class Session
     /**
      * Dynamic instruction count of @p source at O0/x86 — the
      * calibration measurement. The compiled, lowered and predecoded
-     * program is memoized by source content, so re-measuring an
-     * unchanged candidate (across calibration rounds, workloads or
-     * repeated synthesize() calls in one session) costs one predecoded
-     * execution and nothing else.
+     * program is memoized by source content (single-flight, like
+     * profiles and clones), so re-measuring an unchanged candidate
+     * (across calibration rounds, workloads or repeated synthesize()
+     * calls in one session) costs one predecoded execution and nothing
+     * else, and concurrent measurements of one source build it once.
      */
     uint64_t measureInstructions(const std::string &source);
 
@@ -194,8 +205,13 @@ class Session
     CacheStats cacheStats() const;
 
     /** The session's scoped metrics registry ("pipeline.cache.*",
-     *  "pipeline.suite.*", this session's thread-pool metrics). */
+     *  "pipeline.memo.*", "pipeline.suite.*", this session's
+     *  thread-pool metrics). */
     obs::Registry &metrics() { return metrics_; }
+
+    /** Entries each in-memory tier (profiles, clones, decoded
+     *  calibration programs) keeps; least recently used go first. */
+    static constexpr size_t kMemoCapacity = 512;
 
   private:
     /** A measurement program: the lowered MachineProgram plus its
@@ -203,18 +219,11 @@ class Session
      *  are heap-pinned behind shared_ptr and never moved). */
     struct DecodedMeasure;
 
-    std::shared_ptr<const DecodedMeasure>
-    decodeForMeasure(const std::string &source);
-
     SessionOptions options_;
     ArtifactCache cache_;
 
     std::mutex poolMtx_; ///< guards lazy pool creation
     std::unique_ptr<ThreadPool> ownedPool_;
-
-    std::mutex decodeMtx_; ///< guards the decoded-measurement cache
-    std::unordered_map<std::string, std::shared_ptr<const DecodedMeasure>>
-        decodeCache_; ///< keyed by SHA-256 of the source
 
     /** Session-scoped metric namespace; every update also flows into
      *  the parent chain (ultimately obs::Registry::global()). */
@@ -227,6 +236,13 @@ class Session
     obs::Counter &synthMisses_;
     obs::Counter &decodeHits_;
     obs::Counter &decodeMisses_;
+
+    /** The memory tier, keyed by ArtifactCache::key: profile and clone
+     *  text as the disk tier stores it, and decoded calibration
+     *  programs (keyed by source). */
+    Memo<std::string> profileMemo_;
+    Memo<std::string> synthMemo_;
+    Memo<DecodedMeasure> decodeMemo_;
 };
 
 } // namespace bsyn::pipeline

@@ -2,9 +2,10 @@
  * @file
  * The long-running `bsyn serve` worker: claims jobs from a Spool and
  * executes them against one warm pipeline::Session, so every job after
- * the first rides the session's decoded-program memo and — with a
- * cache directory — the shared content-addressed ArtifactCache (a job
- * re-submitted against a warm cache recomputes nothing). A failing job
+ * the first rides the session's in-memory tier (a repeated job
+ * recomputes nothing) and — with a cache directory — the shared
+ * content-addressed ArtifactCache (a job re-submitted against a warm
+ * cache recomputes nothing, even on a fresh worker). A failing job
  * (unknown workload, malformed job file, synthesis error) produces a
  * structured !ok status via the same per-run isolation the batch
  * pipeline uses; the worker itself keeps serving.

@@ -128,6 +128,12 @@ ThreadPool::wait()
     idleCv_.wait(lock, [this] { return pending_ == 0; });
 }
 
+ThreadPool *
+ThreadPool::current()
+{
+    return tlsWorkerPool;
+}
+
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {

@@ -57,6 +57,9 @@ class ThreadPool
     /** Number of worker threads. */
     size_t threadCount() const { return workers_.size(); }
 
+    /** The pool the calling thread is a worker of, or null. */
+    static ThreadPool *current();
+
     /** Enqueue one task; returns immediately. */
     void submit(Task task);
 

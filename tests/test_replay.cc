@@ -4,7 +4,8 @@
  *  eager spec validation for schedules and mixes, the lock-free
  *  latency histogram's bucket error bound, and the engine's
  *  determinism contract — the results half is byte-identical across
- *  driver thread counts and across the direct and spool paths. */
+ *  driver thread counts and across the direct and spool paths, and a
+ *  warm Session computes each instance once. */
 
 #include <gtest/gtest.h>
 
@@ -263,6 +264,38 @@ TEST(ReplayEngine, ResultsHalfIsByteIdenticalAcrossThreadCounts)
     EXPECT_GT(viaSpool.stages[0].count, 0u);
     EXPECT_EQ(viaSpool.stages[4].stage, "total");
     EXPECT_GT(viaSpool.stages[4].count, 0u);
+}
+
+TEST(ReplayEngine, WarmSessionComputesEachInstanceOnce)
+{
+    // Direct mode with no cache directory: the Session's memory tier
+    // alone must serve every repeat, at any driver thread count.
+    replay::ReplayOptions ro;
+    ro.scheduleSpec = "constant,rate=60";
+    ro.mixSpec = "fp_kernel;stream_mix";
+    ro.durationS = 0.5;
+    ro.seed = 99;
+    ro.population = 2;
+    ro.targetInstr = 20000;
+
+    std::string baseline;
+    for (unsigned threads : {1u, 8u}) {
+        ro.threads = threads;
+        replay::ReplayReport rep = replay::runReplay(ro);
+        EXPECT_EQ(rep.okCount, rep.arrivals.size());
+        ASSERT_EQ(rep.instanceNames.size(), 4u);
+        for (uint64_t draws : rep.drawCounts)
+            ASSERT_GT(draws, 0u) << "every instance must be drawn";
+        EXPECT_EQ(rep.cacheStats.profileMisses, rep.instanceNames.size())
+            << threads << " threads";
+        EXPECT_EQ(rep.cacheStats.synthMisses, rep.instanceNames.size())
+            << threads << " threads";
+        std::string results = rep.resultsJson().dump(2);
+        if (baseline.empty())
+            baseline = results;
+        else
+            EXPECT_EQ(results, baseline) << threads << " threads";
+    }
 }
 
 TEST(ReplayEngine, ScheduleCountsMatchReport)

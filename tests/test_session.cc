@@ -1,16 +1,24 @@
 /** @file Tests for the stage-oriented pipeline::Session API: the
  *  content-addressed artifact cache (hit/miss semantics, warm-run
- *  byte-identity, zero recomputation), streaming RunSinks, per-workload
- *  failure isolation, and seed-derivation stability. */
+ *  byte-identity, zero recomputation), the single-flight memory tier
+ *  (one computation per key under concurrency, uncached failures, LRU
+ *  eviction, no deadlock with pool fan-out), streaming RunSinks,
+ *  per-workload failure isolation, and seed-derivation stability. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <sys/wait.h>
+#include <thread>
 #include <unistd.h>
 
+#include "gen/fidelity.hh"
 #include "pipeline/artifact_cache.hh"
+#include "pipeline/memo.hh"
 #include "pipeline/run_sink.hh"
 #include "pipeline/session.hh"
 #include "support/error.hh"
@@ -502,6 +510,264 @@ TEST(Session, CacheCountersAreScopedPerProcess)
     EXPECT_EQ(after.profileHits, coldStats.profileHits);
     EXPECT_EQ(after.profileMisses, coldStats.profileMisses);
     EXPECT_EQ(after.synthMisses, coldStats.synthMisses);
+}
+
+/** Run fn(t) on @p n threads released together, so their calls race. */
+void
+onThreads(size_t n, const std::function<void(size_t)> &fn)
+{
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> ts;
+    for (size_t t = 0; t < n; ++t)
+        ts.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < n)
+                std::this_thread::yield();
+            fn(t);
+        });
+    for (auto &t : ts)
+        t.join();
+}
+
+uint64_t
+counterValue(pipeline::Session &session, const std::string &name)
+{
+    return session.metrics().counter(name).value();
+}
+
+TEST(Session, ConcurrentCallersComputeEachKeyOnce)
+{
+    const auto &w = workloads::findWorkload("crc32/small");
+    constexpr size_t kThreads = 8;
+
+    pipeline::SessionOptions so;
+    so.threads = 2;
+    so.synthesis = fastOptions();
+    pipeline::Session session(so);
+    std::vector<std::string> profiles(kThreads), clones(kThreads);
+    onThreads(kThreads, [&](size_t t) {
+        auto prof = session.profile(w);
+        profiles[t] = prof.serialize();
+        clones[t] = session.synthesize(prof).cSource;
+    });
+
+    auto stats = session.cacheStats();
+    EXPECT_EQ(stats.profileMisses, 1u);
+    EXPECT_EQ(stats.synthMisses, 1u);
+    EXPECT_EQ(stats.profileHits, kThreads - 1);
+    EXPECT_EQ(stats.synthHits, kThreads - 1);
+    // Every other caller was served from memory or waited for the one
+    // computation.
+    EXPECT_EQ(counterValue(session, "pipeline.memo.profile.hits") +
+                  counterValue(session, "pipeline.memo.profile.waits"),
+              kThreads - 1);
+    EXPECT_EQ(counterValue(session, "pipeline.memo.synth.hits") +
+                  counterValue(session, "pipeline.memo.synth.waits"),
+              kThreads - 1);
+
+    pipeline::SessionOptions single;
+    single.threads = 1;
+    single.synthesis = fastOptions();
+    pipeline::Session reference(single);
+    auto prof = reference.profile(w);
+    std::string clone = reference.synthesize(prof).cSource;
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(profiles[t], prof.serialize()) << t;
+        EXPECT_EQ(clones[t], clone) << t;
+    }
+}
+
+TEST(Session, ConcurrentMeasurementsDecodeOnce)
+{
+    pipeline::Session session;
+    const std::string src =
+        "int main() {\n"
+        "  int i; int s; s = 0;\n"
+        "  for (i = 0; i < 5000; i = i + 1) s = s + i * 7;\n"
+        "  printf(\"%d\\n\", s);\n"
+        "  return 0;\n"
+        "}\n";
+    std::vector<uint64_t> counts(8);
+    onThreads(counts.size(),
+              [&](size_t t) { counts[t] = session.measureInstructions(src); });
+    auto stats = session.cacheStats();
+    EXPECT_EQ(stats.decodeMisses, 1u);
+    EXPECT_EQ(stats.decodeHits +
+                  counterValue(session, "pipeline.memo.decode.waits"),
+              counts.size() - 1);
+    for (uint64_t c : counts)
+        EXPECT_EQ(c, pipeline::measureInstructions(src));
+}
+
+TEST(Session, MemoEvictsLeastRecentlyUsed)
+{
+    pipeline::Session session;
+    auto source = [](size_t k) {
+        return "int main() { return " + std::to_string(k % 100) + " + " +
+               std::to_string(k / 100) + "; }";
+    };
+    const size_t cap = pipeline::Session::kMemoCapacity;
+    for (size_t k = 0; k < cap; ++k)
+        session.measureInstructions(source(k));
+    session.measureInstructions(source(0)); // 0 is now the most recent
+    EXPECT_EQ(session.cacheStats().decodeMisses, cap);
+    EXPECT_EQ(session.cacheStats().decodeHits, 1u);
+
+    session.measureInstructions(source(cap)); // evicts 1, the LRU
+    session.measureInstructions(source(0));
+    EXPECT_EQ(session.cacheStats().decodeMisses, cap + 1)
+        << "a recently used entry was evicted";
+    session.measureInstructions(source(1));
+    EXPECT_EQ(session.cacheStats().decodeMisses, cap + 2)
+        << "the least recently used entry was kept";
+}
+
+TEST(Session, FailedComputationIsNotCached)
+{
+    const std::string bad = "int main( { this is not MiniC ";
+    constexpr size_t kThreads = 8;
+    pipeline::Session session;
+
+    std::atomic<size_t> errors{0};
+    onThreads(kThreads, [&](size_t) {
+        try {
+            session.profile(bad, "broken");
+        } catch (const FatalError &) {
+            errors.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(errors.load(), kThreads);
+    // Each caller either computed (and failed) or waited for a failing
+    // computation; none was served a stored entry.
+    auto stats = session.cacheStats();
+    EXPECT_EQ(stats.profileHits, 0u);
+    EXPECT_EQ(counterValue(session, "pipeline.memo.profile.hits"), 0u);
+    EXPECT_EQ(stats.profileMisses +
+                  counterValue(session, "pipeline.memo.profile.waits"),
+              kThreads);
+
+    // Nothing was stored: the next call computes (and fails) again.
+    EXPECT_THROW(session.profile(bad, "broken"), FatalError);
+    EXPECT_EQ(session.cacheStats().profileMisses, stats.profileMisses + 1);
+}
+
+TEST(Memo, WaitersShareTheLeadersResultOrError)
+{
+    obs::Registry reg;
+    obs::Counter &hits = reg.counter("hits");
+    obs::Counter &waits = reg.counter("waits");
+    pipeline::Memo<std::string> memo(4, hits, waits);
+    constexpr size_t kWaiters = 3;
+
+    // The leader holds its computation open until every other caller
+    // is waiting for it, then fails: all of them see its error.
+    std::atomic<size_t> computes{0}, errors{0};
+    auto failing = [&] {
+        computes.fetch_add(1);
+        while (waits.value() < kWaiters)
+            std::this_thread::yield();
+        fatal("compute failed");
+        return std::make_shared<std::string>();
+    };
+    onThreads(kWaiters + 1, [&](size_t t) {
+        if (t != 0)
+            while (computes.load() == 0)
+                std::this_thread::yield();
+        try {
+            memo.get("k", failing);
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("compute failed"),
+                      std::string::npos);
+            errors.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(computes.load(), 1u);
+    EXPECT_EQ(errors.load(), kWaiters + 1);
+
+    // No entry remains; the same protocol with a succeeding leader
+    // hands every waiter the one stored value.
+    auto succeeding = [&] {
+        computes.fetch_add(1);
+        while (waits.value() < 2 * kWaiters)
+            std::this_thread::yield();
+        return std::make_shared<std::string>("value");
+    };
+    std::vector<std::shared_ptr<const std::string>> got(kWaiters + 1);
+    onThreads(kWaiters + 1, [&](size_t t) {
+        if (t != 0)
+            while (computes.load() == 1)
+                std::this_thread::yield();
+        got[t] = memo.get("k", succeeding);
+    });
+    EXPECT_EQ(computes.load(), 2u);
+    for (const auto &v : got)
+        EXPECT_EQ(v, got[0]);
+    EXPECT_EQ(*memo.get("k", succeeding), "value");
+    EXPECT_EQ(hits.value(), 1u);
+}
+
+TEST(Session, PoolWaitersOnAFanningLeaderFinish)
+{
+    // Duplicate workloads put a pool worker in wait on a key whose
+    // leader, another worker, fans its calibration out through
+    // Session::parallelFor (fft/small1's first calibration measurement
+    // misses, so it measures a ladder of candidates). That nested
+    // parallelFor runs inline on the leader, so the batch finishes with
+    // one computation per key.
+    const auto &fft = workloads::findWorkload("fft/small1");
+    const auto &crc = workloads::findWorkload("crc32/small");
+    std::vector<workloads::Workload> ws{fft, crc, fft, fft, crc, fft};
+
+    pipeline::SessionOptions so;
+    so.threads = 4;
+    so.synthesis = fastOptions();
+    pipeline::Session session(so);
+    auto runs = session.processSuite(ws);
+    ASSERT_EQ(runs.size(), ws.size());
+    EXPECT_EQ(session.cacheStats().profileMisses, 2u);
+    EXPECT_EQ(session.cacheStats().synthMisses, 2u);
+    for (size_t i = 2; i < ws.size(); ++i) {
+        const auto &first = ws[i].name() == fft.name() ? runs[0] : runs[1];
+        EXPECT_EQ(runs[i].synthetic.cSource, first.synthetic.cSource) << i;
+    }
+
+    // The same for fidelity scoring: the original's profile and clone
+    // and the clone's profile are each computed once per key.
+    pipeline::Session scoring(so);
+    gen::FidelityOptions fo;
+    fo.synthesis = fastOptions();
+    fo.timing = false;
+    auto report = gen::scoreFidelity(scoring, {fft, fft, fft, fft}, fo);
+    for (const auto &inst : report.instances) {
+        EXPECT_TRUE(inst.ok) << inst.error;
+        EXPECT_EQ(inst.meanError, report.instances[0].meanError);
+    }
+    EXPECT_EQ(scoring.cacheStats().profileMisses, 2u);
+    EXPECT_EQ(scoring.cacheStats().synthMisses, 1u);
+}
+
+TEST(Session, PoolWorkerNeverWaitsOnALeaderBlockedOnThePool)
+{
+    // The test thread leads a clone and fans its calibration out to a
+    // one-worker pool whose worker meanwhile asks for the same clone.
+    // Waiting there would deadlock (the leader waits for that worker),
+    // so the worker computes the clone itself.
+    const auto &w = workloads::findWorkload("fft/small1");
+    pipeline::SessionOptions so;
+    so.threads = 1;
+    so.synthesis = fastOptions();
+    pipeline::Session session(so);
+    auto prof = session.profile(w);
+
+    std::promise<std::string> onWorker;
+    session.pool().submit([&] {
+        while (session.cacheStats().synthMisses == 0)
+            std::this_thread::yield();
+        onWorker.set_value(session.synthesize(prof).cSource);
+    });
+    std::string direct = session.synthesize(prof).cSource;
+    EXPECT_EQ(onWorker.get_future().get(), direct);
+    EXPECT_EQ(session.cacheStats().synthMisses, 2u);
 }
 
 } // namespace
