@@ -2,8 +2,8 @@
  * @file
  * Framework microbenchmarks (google-benchmark): throughput of the
  * interpreter, the cache simulator, the branch predictors, the MiniC
- * compiler and the profiler — the costs that bound every experiment in
- * this repository.
+ * compiler, the profiler and the profile's JSON codec — the costs that
+ * bound every experiment in this repository.
  */
 
 #include <benchmark/benchmark.h>
@@ -340,6 +340,45 @@ BM_ProfileWorkloadReference(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ProfileWorkloadReference);
+
+/** The crc32/small profile (about 85 KB of JSON): the text a warm
+ *  Session decodes on every profile hit and encodes for every synth
+ *  key. */
+const profile::StatisticalProfile &
+crc32Profile()
+{
+    static const profile::StatisticalProfile prof = profile::profileModule(
+        workloads::compileWorkload(workloads::findWorkload("crc32/small")));
+    return prof;
+}
+
+void
+BM_ProfileSerialize(benchmark::State &state)
+{
+    const auto &prof = crc32Profile();
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = prof.serialize();
+        bytes = text.size();
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(bytes));
+}
+BENCHMARK(BM_ProfileSerialize);
+
+void
+BM_ProfileDeserialize(benchmark::State &state)
+{
+    const std::string text = crc32Profile().serialize();
+    for (auto _ : state) {
+        auto prof = profile::StatisticalProfile::deserialize(text);
+        benchmark::DoNotOptimize(prof.sfgl.blocks.data());
+    }
+    state.SetBytesProcessed(int64_t(state.iterations()) *
+                            int64_t(text.size()));
+}
+BENCHMARK(BM_ProfileDeserialize);
 
 void
 BM_SynthesizeClone(benchmark::State &state)

@@ -59,21 +59,29 @@ InstrMix::merge(const InstrMix &other)
         counts[i] += other.counts[i];
 }
 
-Json
-InstrMix::toJson() const
+void
+InstrMix::write(JsonWriter &w) const
 {
-    Json arr = Json::array();
+    w.beginArray();
     for (uint64_t c : counts)
-        arr.push(Json(c));
-    return arr;
+        w.value(c);
+    w.endArray();
 }
 
 InstrMix
-InstrMix::fromJson(const Json &j)
+InstrMix::read(JsonReader &r)
 {
     InstrMix mix;
-    for (size_t i = 0; i < numClasses && i < j.size(); ++i)
-        mix.counts[i] = static_cast<uint64_t>(j.at(i).asNumber());
+    size_t i = 0;
+    r.beginArray();
+    for (; r.nextItem(); ++i) {
+        // A shorter array leaves the remaining classes at zero and
+        // classes beyond numClasses are ignored.
+        if (i < numClasses)
+            mix.counts[i] = static_cast<uint64_t>(r.number());
+        else
+            r.skip();
+    }
     return mix;
 }
 

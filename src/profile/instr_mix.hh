@@ -50,8 +50,9 @@ class InstrMix
 
     void merge(const InstrMix &other);
 
-    Json toJson() const;
-    static InstrMix fromJson(const Json &j);
+    /** JSON form: the per-class counts as one array. */
+    void write(JsonWriter &w) const;
+    static InstrMix read(JsonReader &r);
 
   private:
     std::array<uint64_t, numClasses> counts{};

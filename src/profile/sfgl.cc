@@ -1,5 +1,7 @@
 #include "profile/sfgl.hh"
 
+#include <cmath>
+
 #include "support/error.hh"
 
 namespace bsyn::profile
@@ -36,152 +38,251 @@ Sfgl::dynamicInstructions() const
 namespace
 {
 
-Json
-descriptorToJson(const InstrDescriptor &d)
+void
+writeDescriptor(JsonWriter &w, const InstrDescriptor &d)
 {
-    Json j = Json::array();
-    j.push(Json(static_cast<int>(d.op)));
-    j.push(Json(static_cast<int>(d.type)));
-    j.push(Json(static_cast<int>(d.cls)));
+    w.beginArray();
+    w.value(static_cast<int>(d.op));
+    w.value(static_cast<int>(d.type));
+    w.value(static_cast<int>(d.cls));
     int flags = (d.readsMem ? 1 : 0) | (d.writesMem ? 2 : 0) |
                 (d.isControl ? 4 : 0);
-    j.push(Json(flags));
-    j.push(Json(d.missClass));
-    j.push(Json(d.branchExecutions));
-    j.push(Json(d.takenRate));
-    j.push(Json(d.transitionRate));
-    return j;
+    w.value(flags);
+    w.value(d.missClass);
+    w.value(d.branchExecutions);
+    w.value(d.takenRate);
+    w.value(d.transitionRate);
+    w.endArray();
 }
 
 InstrDescriptor
-descriptorFromJson(const Json &j)
+readDescriptor(JsonReader &r)
 {
+    // [op, type, cls, flags, missClass] then, since v2, the per-branch
+    // [branchExecutions, takenRate, transitionRate]. Pre-v2 profiles
+    // (5-element descriptors) load with those fields at their
+    // defaults, as does any array too short to hold all three.
+    double v[8] = {};
+    size_t n = 0;
+    r.beginArray();
+    for (; r.nextItem(); ++n) {
+        if (n < 8)
+            v[n] = r.number();
+        else
+            r.skip();
+    }
+    if (n < 5)
+        fatal("json: instruction descriptor has %zu fields, expected 5 "
+              "or more",
+              n);
     InstrDescriptor d;
-    d.op = static_cast<ir::Opcode>(j.at(0).asInt());
-    d.type = static_cast<ir::Type>(j.at(1).asInt());
-    d.cls = static_cast<isa::MClass>(j.at(2).asInt());
-    int flags = static_cast<int>(j.at(3).asInt());
+    d.op = static_cast<ir::Opcode>(std::llround(v[0]));
+    d.type = static_cast<ir::Type>(std::llround(v[1]));
+    d.cls = static_cast<isa::MClass>(std::llround(v[2]));
+    int flags = static_cast<int>(std::llround(v[3]));
     d.readsMem = flags & 1;
     d.writesMem = flags & 2;
     d.isControl = flags & 4;
-    d.missClass = static_cast<int>(j.at(4).asInt());
-    // Pre-v2 profiles (5-element descriptors) lack the per-branch
-    // annotation; load them with the fields at their defaults.
-    if (j.size() > 7) {
-        d.branchExecutions = static_cast<uint64_t>(j.at(5).asNumber());
-        d.takenRate = j.at(6).asNumber();
-        d.transitionRate = j.at(7).asNumber();
+    d.missClass = static_cast<int>(std::llround(v[4]));
+    if (n > 7) {
+        d.branchExecutions = static_cast<uint64_t>(v[5]);
+        d.takenRate = v[6];
+        d.transitionRate = v[7];
     }
     return d;
 }
 
+SfglEdge
+readEdge(JsonReader &r)
+{
+    // [to, count]; trailing elements are ignored.
+    SfglEdge e;
+    size_t n = 0;
+    r.beginArray();
+    for (; r.nextItem(); ++n) {
+        if (n == 0)
+            e.to = static_cast<int>(r.integer());
+        else if (n == 1)
+            e.count = static_cast<uint64_t>(r.number());
+        else
+            r.skip();
+    }
+    if (n < 2)
+        fatal("json: SFGL edge has %zu fields, expected 2", n);
+    return e;
+}
+
+const char *const kBlockKeys[] = {"id", "func", "irBlock", "exec",
+                                  "code", "succs", "term", "takenRate",
+                                  "transitionRate", "easy", "loop"};
+
+SfglBlock
+readBlock(JsonReader &r)
+{
+    SfglBlock b;
+    JsonFields keys(kBlockKeys);
+    std::string_view k;
+    r.beginObject();
+    while (r.nextKey(k)) {
+        switch (keys.match(k)) {
+          case 0: b.id = static_cast<int>(r.integer()); break;
+          case 1: b.funcId = static_cast<int>(r.integer()); break;
+          case 2: b.irBlockId = static_cast<int>(r.integer()); break;
+          case 3: b.execCount = static_cast<uint64_t>(r.number()); break;
+          case 4:
+            b.code.clear();
+            r.beginArray();
+            while (r.nextItem())
+                b.code.push_back(readDescriptor(r));
+            break;
+          case 5:
+            b.succs.clear();
+            r.beginArray();
+            while (r.nextItem())
+                b.succs.push_back(readEdge(r));
+            break;
+          case 6: b.term = static_cast<SfglTerm>(r.integer()); break;
+          case 7: b.takenRate = r.number(); break;
+          case 8: b.transitionRate = r.number(); break;
+          case 9: b.easyBranch = r.boolean(); break;
+          case 10: b.loopId = static_cast<int>(r.integer()); break;
+          default: r.skip();
+        }
+    }
+    keys.require(11);
+    return b;
+}
+
+const char *const kLoopKeys[] = {"id", "header", "blocks", "parent",
+                                 "depth", "entries", "avgIterations"};
+
+SfglLoop
+readLoop(JsonReader &r)
+{
+    SfglLoop l;
+    JsonFields keys(kLoopKeys);
+    std::string_view k;
+    r.beginObject();
+    while (r.nextKey(k)) {
+        switch (keys.match(k)) {
+          case 0: l.id = static_cast<int>(r.integer()); break;
+          case 1: l.header = static_cast<int>(r.integer()); break;
+          case 2:
+            l.blocks.clear();
+            r.beginArray();
+            while (r.nextItem())
+                l.blocks.push_back(static_cast<int>(r.integer()));
+            break;
+          case 3: l.parent = static_cast<int>(r.integer()); break;
+          case 4: l.depth = static_cast<int>(r.integer()); break;
+          case 5: l.entries = static_cast<uint64_t>(r.number()); break;
+          case 6: l.avgIterations = r.number(); break;
+          default: r.skip();
+        }
+    }
+    keys.require(7);
+    return l;
+}
+
+const char *const kSfglKeys[] = {"blocks", "loops", "funcNames"};
+
 } // namespace
 
-Json
-Sfgl::toJson() const
+void
+Sfgl::write(JsonWriter &w) const
 {
-    Json root = Json::object();
+    w.beginObject();
 
-    Json jblocks = Json::array();
+    w.key("blocks");
+    w.beginArray();
     for (const auto &b : blocks) {
-        Json jb = Json::object();
-        jb.set("id", Json(b.id));
-        jb.set("func", Json(b.funcId));
-        jb.set("irBlock", Json(b.irBlockId));
-        jb.set("exec", Json(b.execCount));
-        Json code = Json::array();
+        w.beginObject();
+        w.field("id", b.id);
+        w.field("func", b.funcId);
+        w.field("irBlock", b.irBlockId);
+        w.field("exec", b.execCount);
+        w.key("code");
+        w.beginArray();
         for (const auto &d : b.code)
-            code.push(descriptorToJson(d));
-        jb.set("code", std::move(code));
-        Json succs = Json::array();
+            writeDescriptor(w, d);
+        w.endArray();
+        w.key("succs");
+        w.beginArray();
         for (const auto &e : b.succs) {
-            Json je = Json::array();
-            je.push(Json(e.to));
-            je.push(Json(e.count));
-            succs.push(std::move(je));
+            w.beginArray();
+            w.value(e.to);
+            w.value(e.count);
+            w.endArray();
         }
-        jb.set("succs", std::move(succs));
-        jb.set("term", Json(static_cast<int>(b.term)));
-        jb.set("takenRate", Json(b.takenRate));
-        jb.set("transitionRate", Json(b.transitionRate));
-        jb.set("easy", Json(b.easyBranch));
-        jb.set("loop", Json(b.loopId));
-        jblocks.push(std::move(jb));
+        w.endArray();
+        w.field("term", static_cast<int>(b.term));
+        w.field("takenRate", b.takenRate);
+        w.field("transitionRate", b.transitionRate);
+        w.field("easy", b.easyBranch);
+        w.field("loop", b.loopId);
+        w.endObject();
     }
-    root.set("blocks", std::move(jblocks));
+    w.endArray();
 
-    Json jloops = Json::array();
+    w.key("loops");
+    w.beginArray();
     for (const auto &l : loops) {
-        Json jl = Json::object();
-        jl.set("id", Json(l.id));
-        jl.set("header", Json(l.header));
-        Json mem = Json::array();
+        w.beginObject();
+        w.field("id", l.id);
+        w.field("header", l.header);
+        w.key("blocks");
+        w.beginArray();
         for (int b : l.blocks)
-            mem.push(Json(b));
-        jl.set("blocks", std::move(mem));
-        jl.set("parent", Json(l.parent));
-        jl.set("depth", Json(l.depth));
-        jl.set("entries", Json(l.entries));
-        jl.set("avgIterations", Json(l.avgIterations));
-        jloops.push(std::move(jl));
+            w.value(b);
+        w.endArray();
+        w.field("parent", l.parent);
+        w.field("depth", l.depth);
+        w.field("entries", l.entries);
+        w.field("avgIterations", l.avgIterations);
+        w.endObject();
     }
-    root.set("loops", std::move(jloops));
+    w.endArray();
 
-    Json names = Json::array();
+    w.key("funcNames");
+    w.beginArray();
     for (const auto &n : funcNames)
-        names.push(Json(n));
-    root.set("funcNames", std::move(names));
-    return root;
+        w.value(n);
+    w.endArray();
+
+    w.endObject();
 }
 
 Sfgl
-Sfgl::fromJson(const Json &root)
+Sfgl::read(JsonReader &r)
 {
     Sfgl g;
-    const Json &jblocks = root.get("blocks");
-    for (size_t i = 0; i < jblocks.size(); ++i) {
-        const Json &jb = jblocks.at(i);
-        SfglBlock b;
-        b.id = static_cast<int>(jb.get("id").asInt());
-        b.funcId = static_cast<int>(jb.get("func").asInt());
-        b.irBlockId = static_cast<int>(jb.get("irBlock").asInt());
-        b.execCount = static_cast<uint64_t>(jb.get("exec").asNumber());
-        const Json &code = jb.get("code");
-        for (size_t k = 0; k < code.size(); ++k)
-            b.code.push_back(descriptorFromJson(code.at(k)));
-        const Json &succs = jb.get("succs");
-        for (size_t k = 0; k < succs.size(); ++k) {
-            SfglEdge e;
-            e.to = static_cast<int>(succs.at(k).at(0).asInt());
-            e.count =
-                static_cast<uint64_t>(succs.at(k).at(1).asNumber());
-            b.succs.push_back(e);
+    JsonFields keys(kSfglKeys);
+    std::string_view k;
+    r.beginObject();
+    while (r.nextKey(k)) {
+        switch (keys.match(k)) {
+          case 0:
+            g.blocks.clear();
+            r.beginArray();
+            while (r.nextItem())
+                g.blocks.push_back(readBlock(r));
+            break;
+          case 1:
+            g.loops.clear();
+            r.beginArray();
+            while (r.nextItem())
+                g.loops.push_back(readLoop(r));
+            break;
+          case 2:
+            g.funcNames.clear();
+            r.beginArray();
+            while (r.nextItem())
+                g.funcNames.push_back(r.string());
+            break;
+          default: r.skip();
         }
-        b.term = static_cast<SfglTerm>(jb.get("term").asInt());
-        b.takenRate = jb.get("takenRate").asNumber();
-        b.transitionRate = jb.get("transitionRate").asNumber();
-        b.easyBranch = jb.get("easy").asBool();
-        b.loopId = static_cast<int>(jb.get("loop").asInt());
-        g.blocks.push_back(std::move(b));
     }
-    const Json &jloops = root.get("loops");
-    for (size_t i = 0; i < jloops.size(); ++i) {
-        const Json &jl = jloops.at(i);
-        SfglLoop l;
-        l.id = static_cast<int>(jl.get("id").asInt());
-        l.header = static_cast<int>(jl.get("header").asInt());
-        const Json &mem = jl.get("blocks");
-        for (size_t k = 0; k < mem.size(); ++k)
-            l.blocks.push_back(static_cast<int>(mem.at(k).asInt()));
-        l.parent = static_cast<int>(jl.get("parent").asInt());
-        l.depth = static_cast<int>(jl.get("depth").asInt());
-        l.entries = static_cast<uint64_t>(jl.get("entries").asNumber());
-        l.avgIterations = jl.get("avgIterations").asNumber();
-        g.loops.push_back(std::move(l));
-    }
-    const Json &names = root.get("funcNames");
-    for (size_t i = 0; i < names.size(); ++i)
-        g.funcNames.push_back(names.at(i).asString());
+    keys.require(3);
     return g;
 }
 

@@ -98,8 +98,8 @@ struct Sfgl
     /** Total dynamic instructions including control. */
     uint64_t dynamicInstructions() const;
 
-    Json toJson() const;
-    static Sfgl fromJson(const Json &j);
+    void write(JsonWriter &w) const;
+    static Sfgl read(JsonReader &r);
 };
 
 } // namespace bsyn::profile

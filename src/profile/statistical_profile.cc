@@ -5,76 +5,117 @@
 namespace bsyn::profile
 {
 
-Json
-PhaseProfile::toJson() const
+namespace
 {
-    Json root = Json::object();
-    root.set("dynamicInstructions", Json(dynamicInstructions));
-    root.set("firstSlice", Json(firstSlice));
-    root.set("sliceCount", Json(sliceCount));
-    root.set("mix", mix.toJson());
-    root.set("sfgl", sfgl.toJson());
-    return root;
+
+const char *const kPhaseKeys[] = {"dynamicInstructions", "firstSlice",
+                                  "sliceCount", "mix", "sfgl"};
+
+/** Required members first: the last three are optional (v1/v2 files
+ *  predate the slice stream). */
+const char *const kProfileKeys[] = {"workload", "dynamicInstructions",
+                                    "mix", "sfgl", "sliceLength",
+                                    "sliceCount", "phases"};
+
+} // namespace
+
+void
+PhaseProfile::write(JsonWriter &w) const
+{
+    w.beginObject();
+    w.field("dynamicInstructions", dynamicInstructions);
+    w.field("firstSlice", firstSlice);
+    w.field("sliceCount", sliceCount);
+    w.key("mix");
+    mix.write(w);
+    w.key("sfgl");
+    sfgl.write(w);
+    w.endObject();
 }
 
 PhaseProfile
-PhaseProfile::fromJson(const Json &j)
+PhaseProfile::read(JsonReader &r)
 {
     PhaseProfile p;
-    p.dynamicInstructions =
-        static_cast<uint64_t>(j.get("dynamicInstructions").asNumber());
-    p.firstSlice = static_cast<uint64_t>(j.get("firstSlice").asNumber());
-    p.sliceCount = static_cast<uint64_t>(j.get("sliceCount").asNumber());
-    p.mix = InstrMix::fromJson(j.get("mix"));
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"));
+    JsonFields keys(kPhaseKeys);
+    std::string_view k;
+    r.beginObject();
+    while (r.nextKey(k)) {
+        switch (keys.match(k)) {
+          case 0:
+            p.dynamicInstructions = static_cast<uint64_t>(r.number());
+            break;
+          case 1: p.firstSlice = static_cast<uint64_t>(r.number()); break;
+          case 2: p.sliceCount = static_cast<uint64_t>(r.number()); break;
+          case 3: p.mix = InstrMix::read(r); break;
+          case 4: p.sfgl = Sfgl::read(r); break;
+          default: r.skip();
+        }
+    }
+    keys.require(5);
     return p;
 }
 
-Json
-StatisticalProfile::toJson() const
+std::string
+StatisticalProfile::serialize() const
 {
-    Json root = Json::object();
-    root.set("version", Json(3));
-    root.set("workload", Json(workloadName));
-    root.set("dynamicInstructions", Json(dynamicInstructions));
-    root.set("mix", mix.toJson());
-    root.set("sfgl", sfgl.toJson());
-    root.set("sliceLength", Json(sliceLength));
-    root.set("sliceCount", Json(sliceCount));
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    w.field("version", 3);
+    w.field("workload", workloadName);
+    w.field("dynamicInstructions", dynamicInstructions);
+    w.key("mix");
+    mix.write(w);
+    w.key("sfgl");
+    sfgl.write(w);
+    w.field("sliceLength", sliceLength);
+    w.field("sliceCount", sliceCount);
     // A single phase always mirrors the aggregate, so only genuinely
     // multi-phase profiles pay for the phase list on disk; loading
-    // materializes the implicit phase back (see fromJson).
+    // materializes the implicit phase back (see deserialize).
     if (phases.size() > 1) {
-        Json jphases = Json::array();
+        w.key("phases");
+        w.beginArray();
         for (const auto &p : phases)
-            jphases.push(p.toJson());
-        root.set("phases", std::move(jphases));
+            p.write(w);
+        w.endArray();
     }
-    return root;
+    w.endObject();
+    return out;
 }
 
 StatisticalProfile
-StatisticalProfile::fromJson(const Json &j)
+StatisticalProfile::deserialize(const std::string &text)
 {
     StatisticalProfile p;
-    p.workloadName = j.get("workload").asString();
-    p.dynamicInstructions =
-        static_cast<uint64_t>(j.get("dynamicInstructions").asNumber());
-    p.mix = InstrMix::fromJson(j.get("mix"));
-    p.sfgl = Sfgl::fromJson(j.get("sfgl"));
+    JsonReader r(text);
+    JsonFields keys(kProfileKeys);
+    std::string_view k;
+    r.beginObject();
+    while (r.nextKey(k)) {
+        switch (keys.match(k)) {
+          case 0: p.workloadName = r.string(); break;
+          case 1:
+            p.dynamicInstructions = static_cast<uint64_t>(r.number());
+            break;
+          case 2: p.mix = InstrMix::read(r); break;
+          case 3: p.sfgl = Sfgl::read(r); break;
+          case 4: p.sliceLength = static_cast<uint64_t>(r.number()); break;
+          case 5: p.sliceCount = static_cast<uint64_t>(r.number()); break;
+          case 6:
+            p.phases.clear();
+            r.beginArray();
+            while (r.nextItem())
+                p.phases.push_back(PhaseProfile::read(r));
+            break;
+          default: r.skip(); // "version" and unknown members
+        }
+    }
+    r.finish();
+    keys.require(4);
     // v1/v2 files predate the version field and the slice stream; they
     // load as single-phase v3 profiles with identical aggregates.
-    if (j.has("sliceLength"))
-        p.sliceLength =
-            static_cast<uint64_t>(j.get("sliceLength").asNumber());
-    if (j.has("sliceCount"))
-        p.sliceCount =
-            static_cast<uint64_t>(j.get("sliceCount").asNumber());
-    if (j.has("phases")) {
-        const Json &jphases = j.get("phases");
-        for (size_t i = 0; i < jphases.size(); ++i)
-            p.phases.push_back(PhaseProfile::fromJson(jphases.at(i)));
-    }
     if (p.phases.empty()) {
         PhaseProfile only;
         only.dynamicInstructions = p.dynamicInstructions;
@@ -85,18 +126,6 @@ StatisticalProfile::fromJson(const Json &j)
         p.phases.push_back(std::move(only));
     }
     return p;
-}
-
-std::string
-StatisticalProfile::serialize() const
-{
-    return toJson().dump(-1);
-}
-
-StatisticalProfile
-StatisticalProfile::deserialize(const std::string &text)
-{
-    return fromJson(Json::parse(text));
 }
 
 void

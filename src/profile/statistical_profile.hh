@@ -31,8 +31,8 @@ struct PhaseProfile
     InstrMix mix;
     Sfgl sfgl;
 
-    Json toJson() const;
-    static PhaseProfile fromJson(const Json &j);
+    void write(JsonWriter &w) const;
+    static PhaseProfile read(JsonReader &r);
 };
 
 /**
@@ -65,10 +65,8 @@ struct StatisticalProfile
     size_t phaseCount() const { return phases.empty() ? 1 : phases.size(); }
     bool multiPhase() const { return phases.size() > 1; }
 
-    Json toJson() const;
-    static StatisticalProfile fromJson(const Json &j);
-
-    /** Serialize to / parse from a JSON document string. */
+    /** Serialize to / parse from a JSON document string, streaming
+     *  through JsonWriter / JsonReader (no Json tree is built). */
     std::string serialize() const;
     static StatisticalProfile deserialize(const std::string &text);
 

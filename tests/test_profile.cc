@@ -520,7 +520,9 @@ TEST(Sfgl, LoadsPreV2DescriptorsWithoutBranchFields)
     root.set("loops", Json::array());
     root.set("funcNames", Json::array());
 
-    auto g = profile::Sfgl::fromJson(root);
+    std::string text = root.dump(-1);
+    JsonReader reader(text);
+    auto g = profile::Sfgl::read(reader);
     ASSERT_EQ(g.blocks.size(), 1u);
     ASSERT_EQ(g.blocks[0].code.size(), 1u);
     EXPECT_EQ(g.blocks[0].code[0].missClass, 3);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <cstdio>
+
 #include "support/error.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
@@ -233,6 +237,176 @@ TEST(Json, ParseErrors)
     EXPECT_THROW(Json::parse("{"), FatalError);
     EXPECT_THROW(Json::parse("[1,]2"), FatalError);
     EXPECT_THROW(Json::parse(""), FatalError);
+}
+
+/** The FatalError message parse() raises for @p text ("" if none). */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        Json::parse(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Json, NumbersFollowTheJsonGrammar)
+{
+    EXPECT_EQ(Json::parse("0").asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(Json::parse("-0").asNumber()));
+    EXPECT_EQ(Json::parse("12").asInt(), 12);
+    EXPECT_DOUBLE_EQ(Json::parse("-12.5e3").asNumber(), -12500.0);
+    EXPECT_DOUBLE_EQ(Json::parse("1E-2").asNumber(), 0.01);
+    EXPECT_DOUBLE_EQ(Json::parse("1e+2").asNumber(), 100.0);
+    EXPECT_DOUBLE_EQ(Json::parse(" [0.5] ").at(0).asNumber(), 0.5);
+    EXPECT_EQ(Json::parse("1.7976931348623157e308").asNumber(),
+              1.7976931348623157e308);
+}
+
+TEST(Json, MalformedNumbersAreFatal)
+{
+    // Every token that is not a JSON number fails with its offset —
+    // none aborts with a std::stod exception and none is read as a
+    // prefix ("12-5" used to load as 12).
+    for (const char *bad :
+         {"-", "+5", "12-5", "01", "-01", "1.", ".5", "1e", "1e+", "--1",
+          "1.5.2", "-e5", "1e5e5", "1e999", "-1e999", "x"}) {
+        EXPECT_EQ(parseError(bad), "fatal: json: bad number at offset 0")
+            << bad;
+    }
+    EXPECT_EQ(parseError("[1, 12-5]"),
+              "fatal: json: bad number at offset 4");
+    EXPECT_EQ(parseError("{\"dynamicInstructions\":-}"),
+              "fatal: json: bad number at offset 23");
+    EXPECT_EQ(parseError("[1,]"), "fatal: json: bad number at offset 3");
+    // A number followed by a character no number holds ends there.
+    EXPECT_EQ(parseError("0x10"), "fatal: json: trailing garbage at offset 1");
+}
+
+TEST(Json, NestingDepthIsBounded)
+{
+    const int max = JsonReader::maxDepth;
+    std::string ok = std::string(max, '[') + std::string(max, ']');
+    EXPECT_EQ(Json::parse(ok).dump(-1), ok);
+    std::string deep = std::string(max + 1, '[') + std::string(max + 1, ']');
+    EXPECT_NE(parseError(deep).find("json: nesting deeper than " +
+                                    std::to_string(max)),
+              std::string::npos);
+    // Far deeper input fails the same way instead of overflowing the
+    // stack, for objects too and for a skipping consumer.
+    EXPECT_NE(parseError(std::string(200000, '[')).find("nesting deeper"),
+              std::string::npos);
+    std::string objs;
+    for (int i = 0; i < 1000; ++i)
+        objs += "{\"a\":";
+    EXPECT_NE(parseError(objs).find("nesting deeper"), std::string::npos);
+    std::string text = "{\"unknown\":" + std::string(100000, '[');
+    JsonReader r(text);
+    std::string_view key;
+    r.beginObject();
+    ASSERT_TRUE(r.nextKey(key));
+    EXPECT_EQ(key, "unknown");
+    EXPECT_THROW(r.skip(), FatalError);
+}
+
+TEST(Json, NumbersPrintAsPrintfDoes)
+{
+    // The writer's std::to_chars output is pinned to the printf
+    // formats every stored profile was written with.
+    auto printf17g = [](double d) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", d);
+        return std::string(buf);
+    };
+    for (double d : {0.1, 1.0 / 3.0, -2.5, 1e-7, 123456.789, 9e15, 1e16,
+                     9.5e15, 1e300, -1e-300, 4.9406564584124654e-324})
+        EXPECT_EQ(Json(d).dump(-1), printf17g(d)) << d;
+    EXPECT_EQ(Json(0.0).dump(-1), "0");
+    EXPECT_EQ(Json(-0.0).dump(-1), "0");
+    EXPECT_EQ(Json(8999999999999999.0).dump(-1), "8999999999999999");
+    EXPECT_EQ(Json(-8999999999999999.0).dump(-1), "-8999999999999999");
+
+    // Integer overloads print what the same value stored as a double
+    // (the DOM's representation) prints, on both sides of 9e15.
+    for (int64_t i : {int64_t(0), int64_t(-1), int64_t(42),
+                      int64_t(8999999999999999), int64_t(-8999999999999999),
+                      int64_t(9000000000000000), int64_t(-9000000000000000),
+                      int64_t(9007199254740993), INT64_MAX, INT64_MIN}) {
+        std::string out;
+        JsonWriter w(out);
+        w.value(i);
+        EXPECT_EQ(out, Json(double(i)).dump(-1)) << i;
+    }
+    for (uint64_t u : {uint64_t(7), uint64_t(8999999999999999),
+                       uint64_t(9000000000000000), UINT64_MAX}) {
+        std::string out;
+        JsonWriter w(out);
+        w.value(u);
+        EXPECT_EQ(out, Json(double(u)).dump(-1)) << u;
+    }
+}
+
+TEST(Json, IndentedLayout)
+{
+    Json inner = Json::array();
+    inner.push(Json(1));
+    inner.push(Json::array());
+    Json obj = Json::object();
+    obj.set("a", std::move(inner));
+    obj.set("b", Json::object());
+    obj.set("c", Json("x"));
+    EXPECT_EQ(obj.dump(2), "{\n"
+                           "  \"a\": [\n"
+                           "    1,\n"
+                           "    []\n"
+                           "  ],\n"
+                           "  \"b\": {},\n"
+                           "  \"c\": \"x\"\n"
+                           "}");
+    EXPECT_EQ(obj.dump(-1), "{\"a\":[1,[]],\"b\":{},\"c\":\"x\"}");
+    EXPECT_EQ(Json::array().dump(2), "[]");
+}
+
+TEST(Json, ReaderWalksWhatItWantsAndSkipsTheRest)
+{
+    std::string text = R"( {"skip": {"x": [1, "two", null, true, {}]},
+        "n": -3.5, "key": "v\"al", "b": false, "z": null} )";
+    JsonReader r(text);
+    std::string_view key;
+    r.beginObject();
+    ASSERT_TRUE(r.nextKey(key));
+    EXPECT_EQ(key, "skip");
+    r.skip();
+    ASSERT_TRUE(r.nextKey(key));
+    EXPECT_EQ(key, "n");
+    EXPECT_EQ(r.peek(), Json::Kind::Number);
+    EXPECT_EQ(r.number(), -3.5);
+    ASSERT_TRUE(r.nextKey(key));
+    EXPECT_EQ(key, "key"); // escaped keys decode
+    EXPECT_EQ(r.string(), "v\"al");
+    ASSERT_TRUE(r.nextKey(key));
+    EXPECT_FALSE(r.boolean());
+    ASSERT_TRUE(r.nextKey(key));
+    r.null();
+    EXPECT_FALSE(r.nextKey(key));
+    r.finish();
+
+    // Kind mismatches and truncation are fatal, not crashes.
+    JsonReader str("\"s\"");
+    EXPECT_THROW(str.number(), FatalError);
+    JsonReader num("5");
+    EXPECT_THROW(num.string(), FatalError);
+    JsonReader arr("[1 2]");
+    arr.beginArray();
+    ASSERT_TRUE(arr.nextItem());
+    arr.number();
+    EXPECT_THROW(arr.nextItem(), FatalError);
+    JsonReader cut("{\"a\":1");
+    cut.beginObject();
+    ASSERT_TRUE(cut.nextKey(key));
+    cut.number();
+    EXPECT_THROW(cut.nextKey(key), FatalError);
 }
 
 TEST(Sha256, MatchesKnownVectors)
