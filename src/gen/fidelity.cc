@@ -306,6 +306,68 @@ scoreOne(pipeline::Session &session, const workloads::Workload &w,
     return inst;
 }
 
+/** One instance's entry in the results document. */
+Json
+instanceJson(const InstanceFidelity &inst)
+{
+    Json j = Json::object();
+    j.set("workload", Json(inst.workload));
+    j.set("index", Json(inst.index));
+    j.set("family", Json(inst.family));
+    j.set("ok", Json(inst.ok));
+    if (!inst.ok) {
+        j.set("error", Json(inst.error));
+        return j;
+    }
+    Json metrics = Json::object();
+    for (const auto &m : inst.metrics) {
+        Json entry = Json::object();
+        entry.set("original", Json(m.original));
+        entry.set("clone", Json(m.clone));
+        entry.set("relError", Json(m.error));
+        metrics.set(m.metric, std::move(entry));
+    }
+    j.set("metrics", std::move(metrics));
+    j.set("meanRelError", Json(inst.meanError));
+    j.set("maxRelError", Json(inst.maxError));
+
+    // Phase half (v2): counts, per-phase alignment scores and the
+    // worst/mean per-phase mix error.
+    Json phases = Json::object();
+    phases.set("original", Json(inst.originalPhases));
+    phases.set("clone", Json(inst.clonePhases));
+    phases.set("worstMixError", Json(inst.phaseWorstMixError));
+    phases.set("meanMixError", Json(inst.phaseMeanMixError));
+    phases.set("worstCpiError", Json(inst.phaseWorstCpiError));
+    Json perPhase = Json::array();
+    for (const auto &ps : inst.phaseScores) {
+        Json p = Json::object();
+        p.set("original", Json(static_cast<uint64_t>(ps.original)));
+        p.set("clone", Json(static_cast<uint64_t>(ps.clone)));
+        p.set("mixError", Json(ps.mixError));
+        p.set("missRateError", Json(ps.missRateError));
+        p.set("takenRateError", Json(ps.takenRateError));
+        p.set("originalCpi", Json(ps.originalCpi));
+        p.set("cloneCpi", Json(ps.cloneCpi));
+        p.set("cpiError", Json(ps.cpiError));
+        perPhase.push(std::move(p));
+    }
+    phases.set("perPhase", std::move(perPhase));
+    j.set("phases", std::move(phases));
+    return j;
+}
+
+/** A summary entry: mean of @p sum over @p n instances (0 for none)
+ *  and the maximum. */
+Json
+meanMax(double sum, double max, size_t n)
+{
+    Json entry = Json::object();
+    entry.set("mean", Json(n ? sum / double(n) : 0.0));
+    entry.set("max", Json(max));
+    return entry;
+}
+
 } // namespace
 
 FidelityOptions::FidelityOptions()
@@ -340,129 +402,77 @@ scoreFidelity(pipeline::Session &session,
     return report;
 }
 
-Json
-FidelityReport::resultsJson() const
-{
-    Json root = Json::object();
-    // v3: instances carry their batch index, so sharded reports can be
-    // merged back into full-batch order (serve/merge.hh).
-    // v4: per-phase CPI (originalCpi/cloneCpi/cpiError per phase,
-    // worstCpiError per instance, phaseWorstCpi in the summary).
-    root.set("schema", Json("bsyn.fidelity.v4"));
+// v3: instances carry their batch index, so sharded reports can be
+// merged back into full-batch order (serve/merge.hh).
+// v4: per-phase CPI (originalCpi/cloneCpi/cpiError per phase,
+// worstCpiError per instance, phaseWorstCpi in the summary).
+const char *const kFidelitySchema = "bsyn.fidelity.v4";
 
-    Json list = Json::array();
+Json
+fidelityResults(Json instances)
+{
     // Per-metric accumulation across ok instances, in first-seen
     // metric order (deterministic: every instance scores the same
     // metric list).
     std::vector<std::string> metricOrder;
     std::map<std::string, std::pair<double, double>> metricAgg; // sum,max
+    // Batch-level phase summary: mean/max of the per-instance
+    // worst-phase mix error (the phase-aware vs aggregate-only
+    // comparison CI smokes on) and, for the timing half, of the
+    // worst-phase CPI error.
+    double mixSum = 0, mixMax = 0, cpiSum = 0, cpiMax = 0;
     size_t okCount = 0;
-
-    for (const auto &inst : instances) {
-        Json j = Json::object();
-        j.set("workload", Json(inst.workload));
-        j.set("index", Json(inst.index));
-        j.set("family", Json(inst.family));
-        j.set("ok", Json(inst.ok));
-        if (!inst.ok) {
-            j.set("error", Json(inst.error));
-            list.push(std::move(j));
+    for (size_t i = 0; i < instances.size(); ++i) {
+        const Json &inst = instances.at(i);
+        if (!inst.get("ok").asBool())
             continue;
-        }
         ++okCount;
-        Json metrics = Json::object();
-        for (const auto &m : inst.metrics) {
-            Json entry = Json::object();
-            entry.set("original", Json(m.original));
-            entry.set("clone", Json(m.clone));
-            entry.set("relError", Json(m.error));
-            metrics.set(m.metric, std::move(entry));
-            auto it = metricAgg.find(m.metric);
+        const Json &metrics = inst.get("metrics");
+        for (const auto &name : metrics.keys()) {
+            double err = metrics.get(name).get("relError").asNumber();
+            auto it = metricAgg.find(name);
             if (it == metricAgg.end()) {
-                metricOrder.push_back(m.metric);
-                metricAgg[m.metric] = {m.error, m.error};
+                metricOrder.push_back(name);
+                metricAgg[name] = {err, err};
             } else {
-                it->second.first += m.error;
-                it->second.second =
-                    std::max(it->second.second, m.error);
+                it->second.first += err;
+                it->second.second = std::max(it->second.second, err);
             }
         }
-        j.set("metrics", std::move(metrics));
-        j.set("meanRelError", Json(inst.meanError));
-        j.set("maxRelError", Json(inst.maxError));
-
-        // Phase half (v2): counts, per-phase alignment scores and the
-        // worst/mean per-phase mix error.
-        Json phases = Json::object();
-        phases.set("original", Json(inst.originalPhases));
-        phases.set("clone", Json(inst.clonePhases));
-        phases.set("worstMixError", Json(inst.phaseWorstMixError));
-        phases.set("meanMixError", Json(inst.phaseMeanMixError));
-        phases.set("worstCpiError", Json(inst.phaseWorstCpiError));
-        Json perPhase = Json::array();
-        for (const auto &ps : inst.phaseScores) {
-            Json p = Json::object();
-            p.set("original", Json(static_cast<uint64_t>(ps.original)));
-            p.set("clone", Json(static_cast<uint64_t>(ps.clone)));
-            p.set("mixError", Json(ps.mixError));
-            p.set("missRateError", Json(ps.missRateError));
-            p.set("takenRateError", Json(ps.takenRateError));
-            p.set("originalCpi", Json(ps.originalCpi));
-            p.set("cloneCpi", Json(ps.cloneCpi));
-            p.set("cpiError", Json(ps.cpiError));
-            perPhase.push(std::move(p));
-        }
-        phases.set("perPhase", std::move(perPhase));
-        j.set("phases", std::move(phases));
-        list.push(std::move(j));
+        const Json &phases = inst.get("phases");
+        double mix = phases.get("worstMixError").asNumber();
+        mixSum += mix;
+        mixMax = std::max(mixMax, mix);
+        double cpi = phases.get("worstCpiError").asNumber();
+        cpiSum += cpi;
+        cpiMax = std::max(cpiMax, cpi);
     }
-    root.set("instances", std::move(list));
 
     Json summary = Json::object();
     for (const auto &name : metricOrder) {
         const auto &agg = metricAgg.at(name);
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? agg.first / double(okCount)
-                                       : 0.0));
-        entry.set("max", Json(agg.second));
-        summary.set(name, std::move(entry));
+        summary.set(name, meanMax(agg.first, agg.second, okCount));
     }
-    // Batch-level phase summary: mean/max of the per-instance
-    // worst-phase mix error (the phase-aware vs aggregate-only
-    // comparison CI smokes on).
-    {
-        double sum = 0, mx = 0;
-        for (const auto &inst : instances) {
-            if (!inst.ok)
-                continue;
-            sum += inst.phaseWorstMixError;
-            mx = std::max(mx, inst.phaseWorstMixError);
-        }
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? sum / double(okCount) : 0.0));
-        entry.set("max", Json(mx));
-        summary.set("phaseWorstMix", std::move(entry));
-    }
-    // Same shape for the timing half: mean/max of the per-instance
-    // worst-phase CPI error.
-    {
-        double sum = 0, mx = 0;
-        for (const auto &inst : instances) {
-            if (!inst.ok)
-                continue;
-            sum += inst.phaseWorstCpiError;
-            mx = std::max(mx, inst.phaseWorstCpiError);
-        }
-        Json entry = Json::object();
-        entry.set("mean", Json(okCount ? sum / double(okCount) : 0.0));
-        entry.set("max", Json(mx));
-        summary.set("phaseWorstCpi", std::move(entry));
-    }
+    summary.set("phaseWorstMix", meanMax(mixSum, mixMax, okCount));
+    summary.set("phaseWorstCpi", meanMax(cpiSum, cpiMax, okCount));
+
+    const size_t total = instances.size();
+    Json root = Json::object();
+    root.set("schema", Json(kFidelitySchema));
+    root.set("instances", std::move(instances));
     root.set("summary", std::move(summary));
     root.set("scored", Json(static_cast<uint64_t>(okCount)));
-    root.set("failed",
-             Json(static_cast<uint64_t>(instances.size() - okCount)));
+    root.set("failed", Json(static_cast<uint64_t>(total - okCount)));
     return root;
+}
+
+Json
+FidelityReport::resultsJson() const
+{
+    Json list = Json::array();
+    for (const auto &inst : instances)
+        list.push(instanceJson(inst));
+    return fidelityResults(std::move(list));
 }
 
 Json

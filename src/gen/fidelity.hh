@@ -132,15 +132,30 @@ struct FidelityReport
     /** Total wall-clock of the fidelity run. */
     double totalSecs = 0.0;
 
-    /** Deterministic half: instances + per-metric summary. Stable for
-     *  fixed inputs at any thread count — what the determinism tests
-     *  compare. */
+    /** Deterministic half: fidelityResults() over the instances in
+     *  batch order. Stable for fixed inputs at any thread count — what
+     *  the determinism tests compare. */
     Json resultsJson() const;
 
     /** Full report: results + bench timings (generation, per-family
      *  profile/synth/timing seconds). What `bsyn fidelity -o` writes. */
     Json toJson() const;
 };
+
+/** Schema tag of the results document. */
+extern const char *const kFidelitySchema;
+
+/**
+ * The deterministic results document over @p instances, each an
+ * instance's results JSON, in batch order: the schema tag, the
+ * instances, a mean/max summary over the ok ones (per metric, then
+ * "phaseWorstMix" and "phaseWorstCpi" over each instance's worst
+ * phase) and the scored/failed counts. Sums run in list order, so
+ * equal lists give equal bytes however they were assembled. The one
+ * home of the batch summary: FidelityReport::resultsJson() and the
+ * shard merge (serve/merge.hh) both build their output here.
+ */
+Json fidelityResults(Json instances);
 
 /**
  * Score every workload of @p batch on @p session, fanned across the

@@ -162,8 +162,6 @@ Session::~Session() = default;
 ThreadPool &
 Session::pool()
 {
-    if (options_.pool)
-        return *options_.pool;
     std::lock_guard<std::mutex> lock(poolMtx_);
     if (!ownedPool_)
         ownedPool_ =
@@ -185,13 +183,6 @@ Session::cacheStats() const
 }
 
 // --------------------------------------------------------------- stages
-
-ir::Module
-Session::compile(const std::string &source, const std::string &name,
-                 opt::OptLevel level, bool schedule_for_in_order) const
-{
-    return compileSource(source, name, level, schedule_for_in_order);
-}
 
 bsyn::profile::StatisticalProfile
 Session::profile(const std::string &source, const std::string &name,
@@ -373,12 +364,6 @@ Session::processSuite(const std::vector<workloads::Workload> &suite)
             fatal("workload %s failed: %s", st.workload.c_str(),
                   st.error.c_str());
     return collect.takeRuns();
-}
-
-std::vector<WorkloadRun>
-Session::processSuite()
-{
-    return processSuite(workloads::mibenchSuite());
 }
 
 void

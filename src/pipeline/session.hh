@@ -1,19 +1,20 @@
 /**
  * @file
- * pipeline::Session — the stage-oriented entry point to the paper's
- * Figure-1 flow. A Session owns the worker thread pool and two
- * content-addressed artifact tiers (a bounded in-memory memo in front
- * of the disk ArtifactCache), and exposes each stage (compile, profile,
- * synthesize, process, processSuite) as a first-class call so any
- * prefix of the flow can be reused or resumed: a warm session or cache
- * skips every repeated profile and synthesis while producing
- * byte-identical output, and batch results stream into a RunSink
- * instead of accumulating in memory.
+ * pipeline::Session — the one driver of the paper's Figure-1 flow. A
+ * Session owns the worker thread pool and two content-addressed
+ * artifact tiers (a bounded in-memory memo in front of the disk
+ * ArtifactCache), and exposes each cached stage (profile, synthesize,
+ * process, processSuite) as a first-class call so any prefix of the
+ * flow can be reused or resumed: a warm session or cache skips every
+ * repeated profile and synthesis while producing byte-identical
+ * output, and batch results stream into a RunSink instead of
+ * accumulating in memory.
  */
 
 #ifndef BSYN_PIPELINE_SESSION_HH
 #define BSYN_PIPELINE_SESSION_HH
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +26,7 @@
 #include "pipeline/pipeline.hh"
 #include "pipeline/run_sink.hh"
 #include "profile/profiler.hh"
+#include "support/thread_pool.hh"
 
 namespace bsyn::pipeline
 {
@@ -36,13 +38,9 @@ struct SessionOptions
     std::string cacheDir;
 
     /** Worker threads for batch stages: 0 = one per hardware thread.
-     *  Ignored when @ref pool is set. The pool is created lazily, so a
-     *  session used only for single-workload stages spawns no threads. */
+     *  The pool is created lazily, so a session used only for
+     *  single-workload stages spawns no threads. */
     unsigned threads = 0;
-
-    /** Run batches on this existing pool instead of owning one. Not
-     *  owned; must outlive the Session. */
-    ThreadPool *pool = nullptr;
 
     /** Synthesis configuration used when a call does not pass its own;
      *  its seed is the batch *base* seed that deriveWorkloadSeed()
@@ -113,12 +111,6 @@ class Session
 
     // ------------------------------------------------------------ stages
 
-    /** Compile source at a level (optionally scheduling for in-order).
-     *  Never cached: IR modules are cheap and not serializable. */
-    ir::Module compile(const std::string &source, const std::string &name,
-                       opt::OptLevel level,
-                       bool schedule_for_in_order = false) const;
-
     /** Profile @p source at -O0 (cached by source content + name).
      *  @p cached, when non-null, reports whether the cache served it. */
     bsyn::profile::StatisticalProfile
@@ -184,9 +176,6 @@ class Session
      *  rethrows the first per-workload failure as FatalError. */
     std::vector<WorkloadRun>
     processSuite(const std::vector<workloads::Workload> &suite);
-
-    /** Batch-process the full MiBench-analogue suite (strict). */
-    std::vector<WorkloadRun> processSuite();
 
     /** Run fn(0)..fn(n-1) on the session pool (barrier at the end) —
      *  lets harnesses fan their own per-run measurement loops out with

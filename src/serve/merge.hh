@@ -13,10 +13,11 @@
  *    suite_status.json files fold into one 1/1 status — the result is
  *    byte-identical to `bsyn suite -o dir` without --shard;
  *  - fidelity reports (`bsyn fidelity --shard i/N -o f_i.json`):
- *    instances are re-sorted by global index and the per-metric
- *    summary is recomputed in batch order, so the merged results JSON
- *    is byte-identical to an unsharded `--results-only` report
- *    (floating-point accumulation order and all).
+ *    instances are re-sorted by global index and handed to
+ *    gen::fidelityResults, the function that builds every fidelity
+ *    results document, so the merged JSON is byte-identical to an
+ *    unsharded `--results-only` report (floating-point accumulation
+ *    order and all).
  */
 
 #ifndef BSYN_SERVE_MERGE_HH
@@ -53,8 +54,8 @@ MergeResult mergeSuiteDirs(const std::string &outDir,
 /**
  * Merge N sharded fidelity reports (parsed JSON, any order) into the
  * results-only report of the equivalent unsharded run. Each input must
- * carry the "shard" section `bsyn fidelity --shard` writes. fatal() on
- * mismatched or incomplete shards.
+ * be a current-schema report carrying a FidelityShard section
+ * (shard.hh). fatal() on mismatched or incomplete shards.
  */
 Json mergeFidelityReports(const std::vector<Json> &shardReports);
 

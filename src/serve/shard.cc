@@ -118,15 +118,40 @@ filterShard(const std::vector<workloads::Workload> &all, ShardSpec spec)
 
 // ---------------------------------------------------------- SuiteStatus
 
+namespace
+{
+
+/** The index/count pair every shard section starts with. */
+Json
+shardSpecJson(ShardSpec spec)
+{
+    Json sh = Json::object();
+    sh.set("index", Json(static_cast<uint64_t>(spec.index)));
+    sh.set("count", Json(static_cast<uint64_t>(spec.count)));
+    return sh;
+}
+
+/** Read a shard section's index/count; fatal() (naming @p what) when
+ *  they do not form a valid spec. */
+ShardSpec
+shardSpecFromJson(const Json &sh, const char *what)
+{
+    ShardSpec spec;
+    spec.index = static_cast<unsigned>(sh.get("index").asInt());
+    spec.count = static_cast<unsigned>(sh.get("count").asInt());
+    if (spec.count == 0 || spec.index == 0 || spec.index > spec.count)
+        fatal("%s: invalid shard %u/%u", what, spec.index, spec.count);
+    return spec;
+}
+
+} // namespace
+
 Json
 SuiteStatus::toJson() const
 {
     Json root = Json::object();
     root.set("schema", Json("bsyn.suite.v1"));
-    Json sh = Json::object();
-    sh.set("index", Json(static_cast<uint64_t>(shard.index)));
-    sh.set("count", Json(static_cast<uint64_t>(shard.count)));
-    root.set("shard", std::move(sh));
+    root.set("shard", shardSpecJson(shard));
     root.set("total", Json(static_cast<uint64_t>(total)));
     root.set("suiteHash", Json(suiteHash));
     Json list = Json::array();
@@ -143,13 +168,7 @@ SuiteStatus::fromJson(const Json &j)
         fatal("suite status: unknown schema '%s'",
               j.get("schema").asString().c_str());
     SuiteStatus s;
-    const Json &sh = j.get("shard");
-    s.shard.index = static_cast<unsigned>(sh.get("index").asInt());
-    s.shard.count = static_cast<unsigned>(sh.get("count").asInt());
-    if (s.shard.count == 0 || s.shard.index == 0 ||
-        s.shard.index > s.shard.count)
-        fatal("suite status: invalid shard %u/%u", s.shard.index,
-              s.shard.count);
+    s.shard = shardSpecFromJson(j.get("shard"), "suite status");
     s.total = static_cast<size_t>(j.get("total").asInt());
     s.suiteHash = j.get("suiteHash").asString();
     const Json &list = j.get("workloads");
@@ -194,6 +213,37 @@ makeSuiteStatus(const ShardedBatch &batch,
               [](const pipeline::RunStatus &a,
                  const pipeline::RunStatus &b) { return a.index < b.index; });
     return s;
+}
+
+// -------------------------------------------------------- FidelityShard
+
+void
+FidelityShard::writeTo(Json &report) const
+{
+    Json sh = shardSpecJson(shard);
+    sh.set("total", Json(static_cast<uint64_t>(total)));
+    sh.set("suiteHash", Json(suiteHash));
+    report.set("shard", std::move(sh));
+}
+
+FidelityShard
+FidelityShard::readFrom(const Json &report)
+{
+    if (!report.has("shard"))
+        fatal("fidelity report has no shard section (was it produced "
+              "with --shard?)");
+    const Json &sh = report.get("shard");
+    FidelityShard f;
+    f.shard = shardSpecFromJson(sh, "fidelity report");
+    f.total = static_cast<size_t>(sh.get("total").asInt());
+    f.suiteHash = sh.get("suiteHash").asString();
+    return f;
+}
+
+FidelityShard
+makeFidelityShard(const ShardedBatch &batch)
+{
+    return {batch.spec, batch.total, batch.suiteHash};
 }
 
 } // namespace bsyn::serve

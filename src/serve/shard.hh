@@ -120,6 +120,28 @@ extern const char *const kSuiteStatusFile;
 SuiteStatus makeSuiteStatus(const ShardedBatch &batch,
                             const std::vector<pipeline::RunStatus> &statuses);
 
+/**
+ * Shard provenance of a sharded fidelity report: the "shard" section
+ * `bsyn fidelity --shard` adds to its report and `bsyn merge
+ * --fidelity` validates. Carries what a SuiteStatus header does.
+ */
+struct FidelityShard
+{
+    ShardSpec shard;
+    size_t total = 0;
+    std::string suiteHash;
+
+    /** Set @p report's "shard" section to this provenance. */
+    void writeTo(Json &report) const;
+
+    /** Read @p report's "shard" section; fatal() when it is missing
+     *  or names an invalid shard. */
+    static FidelityShard readFrom(const Json &report);
+};
+
+/** The provenance of the processed shard @p batch. */
+FidelityShard makeFidelityShard(const ShardedBatch &batch);
+
 } // namespace bsyn::serve
 
 #endif // BSYN_SERVE_SHARD_HH

@@ -3,7 +3,8 @@
  *  artifact, and the core acceptance property — the union of N shard
  *  output directories, reassembled by serve::mergeSuiteDirs, is
  *  byte-identical to an unsharded run at any thread count, cold or
- *  warm. */
+ *  warm. The same holds for sharded fidelity reports reassembled by
+ *  serve::mergeFidelityReports. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <set>
 #include <unistd.h>
 
+#include "gen/fidelity.hh"
+#include "gen/registry.hh"
 #include "pipeline/run_sink.hh"
 #include "pipeline/session.hh"
 #include "serve/merge.hh"
@@ -301,6 +304,158 @@ TEST(ShardMerge, RejectsIncompleteOrMismatchedShards)
     EXPECT_THROW(serve::mergeSuiteDirs(dir.sub("m4"),
                                        {dir.sub("s1"), dir.sub("plain")}),
                  FatalError);
+}
+
+/** One preset per generator family, scored with timing on. */
+std::vector<workloads::Workload>
+fidelityBatch()
+{
+    return gen::Registry::global().sample(1, 0xb5e9c0de);
+}
+
+gen::FidelityOptions
+fidelityOptions()
+{
+    gen::FidelityOptions fo;
+    fo.synthesis.targetInstructions = 20000;
+    fo.timing = true;
+    return fo;
+}
+
+/** The "shard" section `bsyn fidelity --shard` adds to a report. */
+Json
+shardSection(serve::ShardSpec spec, size_t total,
+             const std::string &suiteHash)
+{
+    Json sh = Json::object();
+    sh.set("index", Json(static_cast<uint64_t>(spec.index)));
+    sh.set("count", Json(static_cast<uint64_t>(spec.count)));
+    sh.set("total", Json(static_cast<uint64_t>(total)));
+    sh.set("suiteHash", Json(suiteHash));
+    return sh;
+}
+
+/** Score shard @p spec of @p all like `bsyn fidelity --shard
+ *  --results-only`: global instance indices, the shard section, and a
+ *  round trip through the report's text. */
+Json
+scoreFidelityShard(const std::vector<workloads::Workload> &all,
+                   serve::ShardSpec spec)
+{
+    serve::ShardedBatch sharded = serve::filterShard(all, spec);
+    pipeline::SessionOptions so;
+    so.threads = 2;
+    pipeline::Session session(std::move(so));
+    auto report =
+        gen::scoreFidelity(session, sharded.workloads, fidelityOptions());
+    for (size_t k = 0; k < report.instances.size(); ++k)
+        report.instances[k].index = sharded.indices[k];
+    Json j = report.resultsJson();
+    j.set("shard", shardSection(spec, sharded.total, sharded.suiteHash));
+    return Json::parse(j.dump(2));
+}
+
+/** The unsharded results and the three shards of one batch, scored
+ *  once for every test below. */
+struct FidelityShards
+{
+    std::string unsharded;
+    std::vector<Json> shards;
+};
+
+const FidelityShards &
+fidelityShards()
+{
+    static const FidelityShards s = [] {
+        auto all = fidelityBatch();
+        FidelityShards out;
+        pipeline::SessionOptions so;
+        so.threads = 2;
+        pipeline::Session session(std::move(so));
+        out.unsharded =
+            gen::scoreFidelity(session, all, fidelityOptions())
+                .resultsJson()
+                .dump(2);
+        for (unsigned i = 1; i <= 3; ++i)
+            out.shards.push_back(scoreFidelityShard(all, {i, 3}));
+        return out;
+    }();
+    return s;
+}
+
+TEST(FidelityShard, WritesAndReadsTheShardSection)
+{
+    serve::ShardedBatch b = serve::filterShard(fidelityBatch(), {2, 3});
+    Json report = Json::object();
+    serve::makeFidelityShard(b).writeTo(report);
+    EXPECT_EQ(report.get("shard").dump(-1),
+              shardSection({2, 3}, b.total, b.suiteHash).dump(-1));
+
+    auto back = serve::FidelityShard::readFrom(Json::parse(report.dump(2)));
+    EXPECT_EQ(back.shard.str(), "2/3");
+    EXPECT_EQ(back.total, b.total);
+    EXPECT_EQ(back.suiteHash, b.suiteHash);
+
+    // No section, or one naming a shard that cannot exist.
+    EXPECT_THROW(serve::FidelityShard::readFrom(Json::object()),
+                 FatalError);
+    Json bad = Json::object();
+    bad.set("shard", shardSection({4, 3}, b.total, b.suiteHash));
+    EXPECT_THROW(serve::FidelityShard::readFrom(bad), FatalError);
+}
+
+/** The message mergeFidelityReports fails with on @p shards ("" when
+ *  it accepts them). */
+std::string
+fidelityMergeError(const std::vector<Json> &shards)
+{
+    try {
+        serve::mergeFidelityReports(shards);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(FidelityMerge, UnionOfShardsIsByteIdenticalToUnsharded)
+{
+    const auto &scored = fidelityShards();
+    // Any input order: merge restores batch order by global index.
+    const std::vector<Json> reversed(scored.shards.rbegin(),
+                                     scored.shards.rend());
+    for (const auto *inputs : {&scored.shards, &reversed}) {
+        Json merged = serve::mergeFidelityReports(*inputs);
+        EXPECT_EQ(merged.dump(2), scored.unsharded);
+    }
+    // Timing on: the CPI half of the summary is really exercised.
+    Json unsharded = Json::parse(scored.unsharded);
+    EXPECT_EQ(unsharded.get("failed").asInt(), 0);
+    EXPECT_GT(unsharded.get("summary").get("timing.cpi").get("max")
+                  .asNumber(),
+              0.0);
+}
+
+TEST(FidelityMerge, RejectsMissingShard)
+{
+    const auto &shards = fidelityShards().shards;
+    EXPECT_NE(fidelityMergeError({shards[0], shards[2]})
+                  .find("missing shard 2/3"),
+              std::string::npos);
+    EXPECT_NE(fidelityMergeError({shards[0], shards[1], shards[1]})
+                  .find("appears twice"),
+              std::string::npos);
+}
+
+TEST(FidelityMerge, RejectsMixedSuiteHash)
+{
+    const auto &scored = fidelityShards();
+    auto all = fidelityBatch();
+    std::vector<workloads::Workload> other(all.begin(), all.end() - 1);
+    std::vector<Json> mixed = scored.shards;
+    mixed[1].set("shard", shardSection({2, 3}, all.size(),
+                                       serve::suiteHashOf(other)));
+    EXPECT_NE(fidelityMergeError(mixed).find("suiteHash mismatch"),
+              std::string::npos);
 }
 
 } // namespace

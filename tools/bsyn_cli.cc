@@ -493,7 +493,7 @@ cmdSynth(const Args &args)
               static_cast<unsigned long long>(syn.reductionFactor),
               syn.phases, 100.0 * syn.patternStats.coverage(),
               static_cast<unsigned long long>(
-                  pipeline::measureInstructions(syn.cSource)));
+                  session.measureInstructions(syn.cSource)));
     return 0;
 }
 
@@ -561,10 +561,12 @@ cmdSuite(const Args &args)
                   "[bsyn] shard %s: %zu of %zu workloads",
                   args.shard.str().c_str(), suite.size(), sharded.total);
 
-    pipeline::SessionOptions so;
     // Cap the pool at the batch width so a wide --threads (or a wide
     // machine) never spawns workers that could only idle.
-    so.threads = pipeline::resolveSuiteThreads(args.threads, suite.size());
+    const unsigned threads =
+        pipeline::resolveSuiteThreads(args.threads, suite.size());
+    pipeline::SessionOptions so;
+    so.threads = threads;
     so.cacheDir = args.effectiveCacheDir();
     so.synthesis.targetInstructions = args.targetInstr;
     so.synthesis.seed = args.seed;
@@ -595,8 +597,6 @@ cmdSuite(const Args &args)
     }
     pipeline::TeeSink tee(sinks);
 
-    unsigned threads =
-        pipeline::resolveSuiteThreads(args.threads, suite.size());
     auto t0 = std::chrono::steady_clock::now();
     auto statuses = session.processSuite(suite, tee);
     double secs = std::chrono::duration<double>(
@@ -771,14 +771,8 @@ cmdFidelity(const Args &args)
     // --results-only drops the bench (wall-clock) half, leaving the
     // deterministic report a merge can reproduce byte-identically.
     Json j = args.resultsOnly ? report.resultsJson() : report.toJson();
-    if (!args.shard.isAll()) {
-        Json sh = Json::object();
-        sh.set("index", Json(static_cast<uint64_t>(args.shard.index)));
-        sh.set("count", Json(static_cast<uint64_t>(args.shard.count)));
-        sh.set("total", Json(static_cast<uint64_t>(sharded.total)));
-        sh.set("suiteHash", Json(sharded.suiteHash));
-        j.set("shard", sh);
-    }
+    if (!args.shard.isAll())
+        serve::makeFidelityShard(sharded).writeTo(j);
     std::string text = j.dump(2) + "\n";
     if (args.output.empty())
         std::fputs(text.c_str(), stdout);
