@@ -47,8 +47,8 @@ struct SessionOptions
      *  specializes per workload. */
     synth::SynthesisOptions synthesis;
 
-    /** Profiling configuration (slice interval, checkpoint budget,
-     *  phase threshold). Part of the profile cache fingerprint. */
+    /** Profiling configuration; profile::fingerprint() of it is part
+     *  of the profile cache key. */
     bsyn::profile::ProfileOptions profiling;
 
     /** Registry the session's scoped metrics chain into (and through

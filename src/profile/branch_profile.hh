@@ -52,19 +52,13 @@ struct BranchStats
     }
 };
 
-/** Thresholds splitting easy and hard branches. */
-struct BranchClassifier
+/** Easy/hard split: a transition rate <= 0.1 (sticky outcome) or
+ *  >= 0.9 (alternating) makes a branch easy; anything between is hard. */
+inline bool
+isEasyBranch(double transition_rate)
 {
-    double lowThreshold = 0.1;  ///< <= low  -> easy (sticky outcome)
-    double highThreshold = 0.9; ///< >= high -> easy (alternating)
-
-    bool
-    isEasy(double transition_rate) const
-    {
-        return transition_rate <= lowThreshold ||
-               transition_rate >= highThreshold;
-    }
-};
+    return transition_rate <= 0.1 || transition_rate >= 0.9;
+}
 
 } // namespace bsyn::profile
 

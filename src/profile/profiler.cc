@@ -11,6 +11,7 @@
 #include "isa/lowering.hh"
 #include "sim/decoded_program.hh"
 #include "support/error.hh"
+#include "support/string_util.hh"
 
 namespace bsyn::profile
 {
@@ -240,7 +241,7 @@ observerDynamicProfile(const isa::MachineProgram &prog,
     sim::SliceRecorder rec(sopts, &slices);
     ProfileObserver obs(prog, pc_to_block, opts, rec);
     DynamicProfile d;
-    d.exec = sim::execute(prog, &obs, opts.limits);
+    d.exec = sim::executeReference(prog, &obs, opts.limits);
     rec.finish(obs.counters);
     d.mix = obs.mix;
     statsFromCounters(obs.counters, prog.code.size(), d);
@@ -335,6 +336,20 @@ featureDistance(const SliceFeatures &a, const SliceFeatures &b)
            std::fabs(a.takenRate - b.takenRate);
 }
 
+/** Phase boundary threshold: adjacent slices merge into one phase
+ *  while the L1 distance between their behaviour vectors (load /
+ *  store / branch / fp / other mix fractions, miss rate, taken rate)
+ *  stays within this value. Within-phase slice noise is typically
+ *  < 0.01 and genuine mix shifts > 0.2, so it sits an order of
+ *  magnitude above the noise floor. */
+constexpr double kPhaseThreshold = 0.10;
+
+/** Minimum phase weight: a detected phase smaller than this fraction of
+ *  the run merges into its nearer neighbour. Absorbs the transition
+ *  slices that straddle a real boundary (their blended features
+ *  otherwise surface as singleton phases). */
+constexpr double kMinPhaseFraction = 0.05;
+
 /** One detected phase: slices [first, first + count). */
 struct PhaseSeg
 {
@@ -351,8 +366,7 @@ struct PhaseSeg
  */
 std::vector<PhaseSeg>
 detectPhases(const sim::SlicedCounters &slices,
-             const std::vector<isa::MClass> &clsByPc, double threshold,
-             double min_fraction)
+             const std::vector<isa::MClass> &clsByPc)
 {
     const auto &snaps = slices.snapshots;
     std::vector<PhaseSeg> segs;
@@ -381,7 +395,7 @@ detectPhases(const sim::SlicedCounters &slices,
         SliceFeatures f =
             sliceFeatures(segDelta(i, i), clsByPc, retired);
         bool runt = retired < slices.sliceLength / 8;
-        if (runt || featureDistance(cur, f) <= threshold) {
+        if (runt || featureDistance(cur, f) <= kPhaseThreshold) {
             ++segs.back().count;
         } else {
             segs.push_back({i, 1});
@@ -396,7 +410,7 @@ detectPhases(const sim::SlicedCounters &slices,
     // neighbour is behaviourally closer.
     uint64_t total = snaps.back().retired;
     uint64_t min_retired = static_cast<uint64_t>(
-        min_fraction * static_cast<double>(total));
+        kMinPhaseFraction * static_cast<double>(total));
     while (segs.size() > 1) {
         size_t victim = segs.size();
         uint64_t victim_retired = 0;
@@ -521,8 +535,7 @@ buildStaticSfgl(const ir::Module &mod, const isa::MachineProgram &prog)
  *  SFGL — the per-phase and aggregate assemblies share this verbatim. */
 void
 annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
-                const StaticSfgl &st, const isa::MachineProgram &prog,
-                const ProfileOptions &opts)
+                const StaticSfgl &st, const isa::MachineProgram &prog)
 {
     for (size_t b = 0; b < sfgl.blocks.size(); ++b)
         sfgl.blocks[b].execCount = dyn.blockExec[b];
@@ -551,8 +564,7 @@ annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
             if (!block_annotated && blk.term == SfglTerm::Branch) {
                 blk.takenRate = bs.takenRate();
                 blk.transitionRate = bs.transitionRate();
-                blk.easyBranch = opts.branchClassifier.isEasy(
-                    blk.transitionRate);
+                blk.easyBranch = isEasyBranch(blk.transitionRate);
                 block_annotated = true;
             }
         }
@@ -595,6 +607,17 @@ annotateDynamic(Sfgl &sfgl, const DynamicProfile &dyn,
 
 } // namespace
 
+std::string
+fingerprint(const ProfileOptions &o)
+{
+    return strprintf(
+        "cache=%llu/%u/%u;slice=%llu;maxSlices=%u",
+        static_cast<unsigned long long>(o.profilingCache.sizeBytes),
+        o.profilingCache.lineBytes, o.profilingCache.associativity,
+        static_cast<unsigned long long>(o.sliceBaseLength),
+        o.maxSliceCheckpoints);
+}
+
 StatisticalProfile
 profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
                 const ProfileOptions &opts)
@@ -603,11 +626,8 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
 
     StaticSfgl st = buildStaticSfgl(mod, prog);
 
-    // --- Dynamic annotations, via either collection engine. The fused
-    // mode lives inside the predecoded engine, so explicitly selecting
-    // the reference interpreter implies the observer profiler.
-    bool fused = opts.engine == ProfileEngine::Fused &&
-                 opts.limits.engine == sim::ExecEngine::Predecoded;
+    // --- Dynamic annotations, via either collection engine.
+    bool fused = opts.engine == ProfileEngine::Fused;
     bool slicing =
         opts.sliceBaseLength > 0 && opts.maxSliceCheckpoints >= 2;
     // A zero slice length leaves the recorder without an output.
@@ -627,7 +647,7 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
     profile.dynamicInstructions = dyn.exec.instructions;
     profile.mix = dyn.mix;
     profile.sfgl = st.sfgl;
-    annotateDynamic(profile.sfgl, dyn, st, prog, opts);
+    annotateDynamic(profile.sfgl, dyn, st, prog);
 
     // --- Phase detection over the slice stream. Both engines produce
     // the same snapshots at the same boundaries, and each phase's
@@ -644,8 +664,7 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
             clsByPc.push_back(mi.cls());
 
         std::vector<PhaseSeg> segs =
-            detectPhases(slices, clsByPc, opts.phaseThreshold,
-                         opts.minPhaseFraction);
+            detectPhases(slices, clsByPc);
         if (segs.size() > 1) {
             for (const PhaseSeg &seg : segs) {
                 size_t last = seg.first + seg.count - 1;
@@ -668,7 +687,7 @@ profileWorkload(const ir::Module &mod, const isa::MachineProgram &prog,
                 ph.sliceCount = seg.count;
                 ph.mix = pd.mix;
                 ph.sfgl = st.sfgl;
-                annotateDynamic(ph.sfgl, pd, st, prog, opts);
+                annotateDynamic(ph.sfgl, pd, st, prog);
                 profile.phases.push_back(std::move(ph));
             }
         }

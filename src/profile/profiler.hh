@@ -4,10 +4,15 @@
  * -O0-shaped program under instrumentation and produces the complete
  * StatisticalProfile — SFGL with loop annotations, branch taken and
  * transition rates, memory hit/miss classes, and the instruction mix.
+ * The fused engine is the fast path; the observer engine on the
+ * reference interpreter is the golden path. Phase-detection and
+ * branch-classification thresholds are constants of this module.
  */
 
 #ifndef BSYN_PROFILE_PROFILER_HH
 #define BSYN_PROFILE_PROFILER_HH
+
+#include <string>
 
 #include "ir/module.hh"
 #include "isa/machine_program.hh"
@@ -31,9 +36,10 @@ enum class ProfileEngine : uint8_t
      *  SFGL annotations are assembled from the counters plus the
      *  program's static structure. */
     Fused,
-    /** The original ExecObserver-based profiler — the golden
-     *  reference the differential suite compares against. Runs on the
-     *  interpreter selected by limits.engine. */
+    /** The original ExecObserver-based profiler on the reference
+     *  decode-per-step interpreter (sim::executeReference) — the fully
+     *  independent golden path the differential suite compares
+     *  against. */
     Observer,
 };
 
@@ -43,15 +49,10 @@ struct ProfileOptions
     /** Cache simulated during profiling for hit/miss classification. */
     sim::CacheConfig profilingCache{8 * 1024, 32, 4};
 
-    /** Easy/hard branch thresholds. */
-    BranchClassifier branchClassifier;
-
     /** Interpreter limits. */
     sim::ExecLimits limits;
 
-    /** Collection machinery. Selecting the reference decode-per-step
-     *  interpreter via limits.engine implies the Observer profiler
-     *  (the fused mode only exists inside the predecoded engine). */
+    /** Collection machinery. */
     ProfileEngine engine = ProfileEngine::Fused;
 
     /** Slice checkpoint interval in retired instructions; the interval
@@ -63,21 +64,17 @@ struct ProfileOptions
 
     /** Checkpoint budget before adjacent slice pairs coalesce. */
     uint32_t maxSliceCheckpoints = 64;
-
-    /** Phase boundary threshold: adjacent slices merge into one phase
-     *  while the L1 distance between their behaviour vectors (load /
-     *  store / branch / fp / other mix fractions, miss rate, taken
-     *  rate) stays within this value. Within-phase slice noise is
-     *  typically < 0.01 and genuine mix shifts > 0.2, so the default
-     *  sits an order of magnitude above the noise floor. */
-    double phaseThreshold = 0.10;
-
-    /** Minimum phase weight: a detected phase smaller than this
-     *  fraction of the run merges into its nearer neighbour. Absorbs
-     *  the transition slices that straddle a real boundary (their
-     *  blended features otherwise surface as singleton phases). */
-    double minPhaseFraction = 0.05;
 };
+
+/**
+ * Every field of @p opts that shapes the profile's bytes, rendered as a
+ * stable string for cache keys: the profiling cache geometry and the
+ * slicing parameters. engine and limits stay out — both engines yield
+ * byte-identical profiles (tests/test_differential_profile.cc), and a
+ * run that hits the instruction limit produces no profile at all. A
+ * field added to ProfileOptions joins here unless the same holds for it.
+ */
+std::string fingerprint(const ProfileOptions &opts);
 
 /**
  * Profile a workload.

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/histogram.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/spool.hh"
@@ -25,8 +24,10 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Stage histogram slots. Direct mode fills all five; the spool path
- *  cannot see inside the worker, so it fills queue and total only. */
+/** Stage histogram slots. Direct mode fills all but compile (the
+ *  session compiles inside profile, and only on a miss); the spool path
+ *  cannot see inside the worker, so it fills queue and total only. The
+ *  report lists every slot, so compile stays with count 0. */
 enum Stage { kQueue, kCompile, kProfile, kSynth, kTotal, kStages };
 
 const char *const kStageNames[kStages] = {"queue", "compile", "profile",
@@ -105,23 +106,16 @@ driveDirect(Drive &d, pipeline::Session &session)
             obs::Span span("arrival", "workload", w.name());
             span.arg("index", std::to_string(i));
             try {
-                // Timed as the "compile" stage; the module is dropped
-                // (profile() compiles again on a miss).
-                pipeline::compileSource(w.source, w.name(),
-                                        opt::OptLevel::O0);
-                Clock::time_point t1 = Clock::now();
-                d.hists[kCompile]->record(elapsedNs(t0, t1));
-
                 auto prof = session.profile(w);
-                Clock::time_point t2 = Clock::now();
-                d.hists[kProfile]->record(elapsedNs(t1, t2));
+                Clock::time_point t1 = Clock::now();
+                d.hists[kProfile]->record(elapsedNs(t0, t1));
 
                 synth::SynthesisOptions so = session.options().synthesis;
                 so.targetInstructions = d.opts.targetInstr;
                 so.seed =
                     pipeline::deriveWorkloadSeed(d.opts.seed, w.name());
                 session.synthesize(prof, so);
-                d.hists[kSynth]->record(elapsedNs(t2, Clock::now()));
+                d.hists[kSynth]->record(elapsedNs(t1, Clock::now()));
             } catch (const std::exception &e) {
                 res.ok = false;
                 res.error = e.what();
@@ -129,9 +123,6 @@ driveDirect(Drive &d, pipeline::Session &session)
             span.arg("ok", res.ok ? "true" : "false");
         }
         d.hists[kTotal]->record(elapsedNs(due, Clock::now()));
-        if (d.opts.verbose)
-            obs::logf(obs::LogLevel::Info, "[bsyn] arrival %zu %-30s %s",
-                      i, w.name().c_str(), res.ok ? "ok" : "FAILED");
     }
 }
 
@@ -191,9 +182,6 @@ driveSpool(Drive &d, const serve::Spool &spool)
         uint64_t queueNs = totalNs > serviceNs ? totalNs - serviceNs : 0;
         d.hists[kQueue]->record(queueNs);
         traceQueueWait(i, queueNs);
-        if (d.opts.verbose)
-            obs::logf(obs::LogLevel::Info, "[bsyn] arrival %zu %-30s %s",
-                      i, w.name().c_str(), res.ok ? "ok" : "FAILED");
     }
 }
 

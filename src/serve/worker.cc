@@ -192,13 +192,16 @@ Worker::run()
         return s;
     };
 
+    // Atomically drop a `metrics.json` snapshot of the worker's
+    // registry into the spool root at least this often while serving
+    // (and once on exit): anything that can read the spool can scrape
+    // the worker.
+    constexpr double kMetricsEveryS = 5.0;
     auto lastPublish = std::chrono::steady_clock::now();
     auto maybePublish = [&] {
-        if (opts_.metricsEveryS <= 0.0)
-            return;
         auto now = std::chrono::steady_clock::now();
         if (std::chrono::duration<double>(now - lastPublish).count() <
-            opts_.metricsEveryS)
+            kMetricsEveryS)
             return;
         lastPublish = now;
         publishMetrics();

@@ -34,8 +34,7 @@ class Machine
   public:
     Machine(const isa::MachineProgram &p, ExecObserver *obs,
             const ExecLimits &lim)
-        : prog(p), observer(obs), limits(lim), mem(p.globals,
-                                                   lim.stackBytes)
+        : prog(p), observer(obs), limits(lim), mem(p.globals)
     {}
 
     ExecStats
@@ -432,8 +431,6 @@ ExecStats
 execute(const isa::MachineProgram &prog, ExecObserver *observer,
         const ExecLimits &limits)
 {
-    if (limits.engine == ExecEngine::Reference)
-        return Machine(prog, observer, limits).run();
     return execute(DecodedProgram(prog), observer, limits);
 }
 

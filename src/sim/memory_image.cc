@@ -7,8 +7,14 @@
 namespace bsyn::sim
 {
 
-MemoryImage::MemoryImage(const std::vector<ir::Global> &globals,
-                         uint64_t stack_bytes)
+namespace
+{
+
+constexpr uint64_t kStackBytes = 1u << 20;
+
+} // namespace
+
+MemoryImage::MemoryImage(const std::vector<ir::Global> &globals)
 {
     layout(globals);
     // Data segment ends at the current high-water mark; the stack sits
@@ -16,7 +22,7 @@ MemoryImage::MemoryImage(const std::vector<ir::Global> &globals,
     uint64_t data_end = dataBase + bytes.size();
     uint64_t guard = 4096;
     stackLimit_ = (data_end + guard + 15) & ~uint64_t(15);
-    stackTop_ = stackLimit_ + ((stack_bytes + 15) & ~uint64_t(15));
+    stackTop_ = stackLimit_ + ((kStackBytes + 15) & ~uint64_t(15));
     bytes.resize(stackTop_ - dataBase, 0);
     initGlobals(globals);
 }

@@ -24,11 +24,10 @@ class MemoryImage
 {
   public:
     /**
-     * Lay out @p globals starting at dataBase and reserve @p stack_bytes
-     * of stack at the top of the address space.
+     * Lay out @p globals starting at dataBase and reserve 1 MiB of stack
+     * at the top of the address space.
      */
-    explicit MemoryImage(const std::vector<ir::Global> &globals,
-                         uint64_t stack_bytes = 1u << 20);
+    explicit MemoryImage(const std::vector<ir::Global> &globals);
 
     /** Byte address of global symbol @p sym. */
     uint64_t globalAddress(int sym) const

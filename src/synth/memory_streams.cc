@@ -6,12 +6,6 @@
 namespace bsyn::synth
 {
 
-StreamPlan::StreamPlan(uint64_t stream_elems) : streamElems(stream_elems)
-{
-    BSYN_ASSERT((stream_elems & (stream_elems - 1)) == 0,
-                "stream size must be a power of two");
-}
-
 void
 StreamPlan::use(int miss_class, bool is_fp)
 {
@@ -52,7 +46,7 @@ StreamPlan::globalDecls() const
 {
     std::vector<std::string> out;
     for (int c = 0; c < profile::numMissClasses; ++c) {
-        uint64_t n = c == 0 ? 64 : streamElems;
+        uint64_t n = c == 0 ? 64 : kElems;
         if (intUsed[static_cast<size_t>(c)])
             out.push_back(strprintf("unsigned int %s[%llu];",
                                     arrayName(c, false).c_str(),

@@ -27,7 +27,7 @@ class StreamPlan
   public:
     /** Elements per striding stream; must be a power of two and large
      *  enough that the walk defeats every cache size under study. */
-    explicit StreamPlan(uint64_t stream_elems = 16384);
+    static constexpr uint64_t kElems = 16384;
 
     /** Mark a class as used by integer (or fp) accesses. */
     void use(int miss_class, bool is_fp);
@@ -45,9 +45,7 @@ class StreamPlan
     uint64_t strideElems(int miss_class, bool is_fp) const;
 
     /** The "& mask" constant for striding streams. */
-    uint64_t mask() const { return streamElems - 1; }
-
-    uint64_t elems() const { return streamElems; }
+    static constexpr uint64_t mask() { return kElems - 1; }
 
     /** Global array declarations for every used stream. */
     std::vector<std::string> globalDecls() const;
@@ -63,7 +61,9 @@ class StreamPlan
     std::string checksumExpr() const;
 
   private:
-    uint64_t streamElems;
+    static_assert((kElems & (kElems - 1)) == 0,
+                  "stream size must be a power of two");
+
     std::array<bool, profile::numMissClasses> intUsed{};
     std::array<bool, profile::numMissClasses> fpUsed{};
 };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "profile/branch_profile.hh"
 #include "support/error.hh"
 
 namespace bsyn::synth
@@ -101,8 +102,7 @@ ProfileBuilder::build() const
             b.term = SfglTerm::Branch;
             b.takenRate = spec.takenRate;
             b.transitionRate = spec.transitionRate;
-            profile::BranchClassifier cls;
-            b.easyBranch = cls.isEasy(spec.transitionRate);
+            b.easyBranch = profile::isEasyBranch(spec.transitionRate);
             InstrDescriptor br;
             br.op = ir::Opcode::Nop;
             br.cls = isa::MClass::Branch;

@@ -18,11 +18,20 @@ using profile::SfglTerm;
 namespace
 {
 
+/** Member blocks with execution probability below this threshold are
+ *  modeled as never-executed guarded paths. */
+constexpr double kColdThreshold = 0.05;
+
+/** Probability above which a member block is emitted unconditionally. */
+constexpr double kHotThreshold = 0.95;
+
 class SkeletonBuilder
 {
   public:
-    SkeletonBuilder(const Sfgl &g, Rng &r, const SkeletonOptions &o)
-        : sfgl(g), rng(r), opts(o)
+    SkeletonBuilder(const Sfgl &g, Rng &r, bool use_loop_info,
+                    int max_functions, const std::string &func_prefix)
+        : sfgl(g), rng(r), useLoopInfo(use_loop_info),
+          maxFunctions(max_functions), funcPrefix(func_prefix)
     {
         remaining.resize(sfgl.blocks.size());
         for (size_t i = 0; i < sfgl.blocks.size(); ++i)
@@ -43,7 +52,7 @@ class SkeletonBuilder
             int b = pickBlock();
             if (b < 0)
                 break;
-            int outer = opts.useLoopInfo ? outermostLoopOf(b) : -1;
+            int outer = useLoopInfo ? outermostLoopOf(b) : -1;
             if (outer >= 0 && loopEntriesLeft[static_cast<size_t>(outer)] >
                                   0) {
                 segments.push_back(buildLoopNode(outer));
@@ -180,7 +189,7 @@ class SkeletonBuilder
             block_node.kind = SynNode::Kind::Block;
             block_node.sfglBlock = b;
 
-            if (prob >= opts.hotThreshold) {
+            if (prob >= kHotThreshold) {
                 body.push_back(std::move(block_node));
             } else {
                 SynNode cond = makeIf(blk, prob);
@@ -212,7 +221,7 @@ class SkeletonBuilder
             child_node.iterations = citers;
             child_node.body = buildLoopBody(child, child_entries, citers);
 
-            if (enter_prob >= opts.hotThreshold) {
+            if (enter_prob >= kHotThreshold) {
                 body.push_back(std::move(child_node));
             } else {
                 const SfglBlock &chb =
@@ -239,11 +248,11 @@ class SkeletonBuilder
             cond.easyBranch = governed.easyBranch;
             cond.transitionRate = governed.transitionRate;
         } else {
-            cond.easyBranch = prob < opts.coldThreshold ||
-                              prob > (1.0 - opts.coldThreshold);
+            cond.easyBranch = prob < kColdThreshold ||
+                              prob > (1.0 - kColdThreshold);
             cond.transitionRate = std::min(prob, 1.0 - prob) * 2.0;
         }
-        if (prob < opts.coldThreshold)
+        if (prob < kColdThreshold)
             cond.easyBranch = true;
         return cond;
     }
@@ -299,7 +308,7 @@ class SkeletonBuilder
                     sfgl.blocks[static_cast<size_t>(e.to)];
                 if (remaining[static_cast<size_t>(e.to)] == 0)
                     continue;
-                if (opts.useLoopInfo && succ.loopId >= 0)
+                if (useLoopInfo && succ.loopId >= 0)
                     continue;
                 if (e.count > best) {
                     best = e.count;
@@ -318,11 +327,11 @@ class SkeletonBuilder
     {
         Skeleton sk;
         if (segments.empty()) {
-            sk.funcs.push_back({opts.funcPrefix + "0", {}});
+            sk.funcs.push_back({funcPrefix + "0", {}});
             return sk;
         }
         size_t nfuncs = std::min<size_t>(
-            static_cast<size_t>(std::max(1, opts.maxFunctions)),
+            static_cast<size_t>(std::max(1, maxFunctions)),
             segments.size());
         // Contiguous runs keep rough phase order; the split points are
         // random, which detaches the synthetic's functions from the
@@ -338,20 +347,22 @@ class SkeletonBuilder
         size_t fi = 0;
         for (size_t c = 0; c + 1 < cuts.size(); ++c) {
             SynFunction fn;
-            fn.name = opts.funcPrefix + std::to_string(fi++);
+            fn.name = funcPrefix + std::to_string(fi++);
             for (size_t s = cuts[c]; s < cuts[c + 1]; ++s)
                 fn.roots.push_back(std::move(segments[s]));
             if (!fn.roots.empty())
                 sk.funcs.push_back(std::move(fn));
         }
         if (sk.funcs.empty())
-            sk.funcs.push_back({opts.funcPrefix + "0", {}});
+            sk.funcs.push_back({funcPrefix + "0", {}});
         return sk;
     }
 
     const Sfgl &sfgl;
     Rng &rng;
-    const SkeletonOptions &opts;
+    const bool useLoopInfo;
+    const int maxFunctions;
+    const std::string &funcPrefix;
 
     std::vector<uint64_t> remaining;
     std::vector<uint64_t> loopEntriesLeft;
@@ -360,9 +371,12 @@ class SkeletonBuilder
 } // namespace
 
 Skeleton
-buildSkeleton(const Sfgl &scaled, Rng &rng, const SkeletonOptions &opts)
+buildSkeleton(const Sfgl &scaled, Rng &rng, bool useLoopInfo,
+              int maxFunctions, const std::string &funcPrefix)
 {
-    return SkeletonBuilder(scaled, rng, opts).run();
+    return SkeletonBuilder(scaled, rng, useLoopInfo, maxFunctions,
+                           funcPrefix)
+        .run();
 }
 
 } // namespace bsyn::synth

@@ -62,40 +62,23 @@ struct Skeleton
     std::vector<SynFunction> funcs; ///< called in order by main()
 };
 
-/** Skeleton-generation knobs. */
-struct SkeletonOptions
-{
-    /** Max distinct synthetic functions (paper: function assignment is
-     *  randomized, not mirrored from the original). */
-    int maxFunctions = 8;
-
-    /** Synthetic function name prefix. Phase-aware synthesis stitches
-     *  one skeleton per phase into a single file, so each phase gets a
-     *  distinct prefix ("p0f", "p1f", ...) to keep names unique. */
-    std::string funcPrefix = "f";
-
-    /** Use the loop annotation (the "L" in SFGL). When false, loops are
-     *  flattened into Repeat wrappers — the prior-work baseline the
-     *  paper compares against (ablation). */
-    bool useLoopInfo = true;
-
-    /** Member blocks with execution probability below this threshold are
-     *  modeled as never-executed guarded paths. */
-    double coldThreshold = 0.05;
-
-    /** Probability above which a member block is emitted unconditionally. */
-    double hotThreshold = 0.95;
-};
-
 /**
  * Generate the skeleton from a scaled-down SFGL.
  *
  * @param scaled the scaled-down SFGL (consumed counts are internal).
  * @param rng seeded generator (drives all random choices).
- * @param opts structure knobs.
+ * @param useLoopInfo use the loop annotation (the "L" in SFGL). When
+ *        false, loops are flattened into Repeat wrappers — the
+ *        prior-work baseline the paper compares against (ablation).
+ * @param maxFunctions max distinct synthetic functions (paper: function
+ *        assignment is randomized, not mirrored from the original).
+ * @param funcPrefix synthetic function name prefix. Phase-aware
+ *        synthesis stitches one skeleton per phase into a single file,
+ *        so each phase gets a distinct prefix ("p0f", "p1f", ...).
  */
 Skeleton buildSkeleton(const profile::Sfgl &scaled, Rng &rng,
-                       const SkeletonOptions &opts = {});
+                       bool useLoopInfo, int maxFunctions,
+                       const std::string &funcPrefix);
 
 } // namespace bsyn::synth
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "support/error.hh"
+#include "support/string_util.hh"
 #include "synth/scale_down.hh"
 
 namespace bsyn::synth
@@ -13,25 +14,27 @@ namespace bsyn::synth
 namespace
 {
 
-/** Skeleton knobs for one (possibly phase-scoped) scaled SFGL. Big
- *  (consolidated) profiles must split across more functions:
- *  recompiling the clone is part of its job description, and a
- *  compiler's per-function analyses scale super-linearly, so a
- *  100k-instruction main() would be as unusable for compiler teams as
- *  it would be unrealistic. */
-SkeletonOptions
-skeletonOptionsFor(const profile::Sfgl &scaled,
-                   const SynthesisOptions &opts)
+/** Profiles with more phases than this synthesize from the aggregate.
+ *  Each phase gets its own skeleton, so the clone's static footprint
+ *  grows with the phase count. */
+constexpr size_t kMaxPhases = 8;
+
+/** Skeleton function budget for one (possibly phase-scoped) scaled
+ *  SFGL: at least 8, more for big (consolidated) profiles, which must
+ *  split across more functions: recompiling the clone is part of its
+ *  job description, and a compiler's per-function analyses scale
+ *  super-linearly, so a 100k-instruction main() would be as unusable
+ *  for compiler teams as it would be unrealistic. */
+int
+maxFunctionsFor(const profile::Sfgl &scaled)
 {
-    SkeletonOptions sk = opts.skeleton;
     size_t live_blocks = 0;
     for (const auto &b : scaled.blocks)
         if (b.execCount > 0)
             ++live_blocks;
     int adaptive =
         static_cast<int>(std::min<size_t>(64, live_blocks / 12));
-    sk.maxFunctions = std::max(sk.maxFunctions, adaptive);
-    return sk;
+    return std::max(8, adaptive);
 }
 
 SyntheticBenchmark
@@ -45,15 +48,14 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
     syn.reductionFactor = r;
 
     bool multi = opts.phaseAware && prof.multiPhase() &&
-                 prof.phases.size() <=
-                     static_cast<size_t>(std::max(1, opts.maxPhases));
+                 prof.phases.size() <= kMaxPhases;
     if (!multi) {
         // Aggregate path — code-identical to pre-phase synthesis, so
         // single-phase workloads keep producing byte-identical clones.
         profile::Sfgl scaled = scaleDown(prof.sfgl, r);
-        Skeleton skeleton =
-            buildSkeleton(scaled, rng, skeletonOptionsFor(scaled, opts));
-        EmitResult emitted = emitC(scaled, skeleton, rng, opts.emitter);
+        Skeleton skeleton = buildSkeleton(scaled, rng, opts.useLoopInfo,
+                                          maxFunctionsFor(scaled), "f");
+        EmitResult emitted = emitC(scaled, skeleton, rng, opts.usePatterns);
         syn.cSource = std::move(emitted.source);
         syn.patternStats = emitted.patternStats;
         return syn;
@@ -71,16 +73,15 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
 
     std::vector<Skeleton> skeletons;
     skeletons.reserve(scaled.size());
-    for (size_t i = 0; i < scaled.size(); ++i) {
-        SkeletonOptions sk = skeletonOptionsFor(scaled[i], opts);
-        sk.funcPrefix = "p" + std::to_string(i) + "f";
-        skeletons.push_back(buildSkeleton(scaled[i], rng, sk));
-    }
+    for (size_t i = 0; i < scaled.size(); ++i)
+        skeletons.push_back(buildSkeleton(
+            scaled[i], rng, opts.useLoopInfo, maxFunctionsFor(scaled[i]),
+            "p" + std::to_string(i) + "f"));
 
     std::vector<EmitPhase> phases(scaled.size());
     for (size_t i = 0; i < scaled.size(); ++i)
         phases[i] = {&scaled[i], &skeletons[i]};
-    EmitResult emitted = emitCPhases(phases, rng, opts.emitter);
+    EmitResult emitted = emitCPhases(phases, rng, opts.usePatterns);
 
     syn.cSource = std::move(emitted.source);
     syn.phases = static_cast<uint32_t>(prof.phases.size());
@@ -89,6 +90,19 @@ generateOnce(const profile::StatisticalProfile &prof, uint64_t r,
 }
 
 } // namespace
+
+std::string
+fingerprint(const SynthesisOptions &o)
+{
+    return strprintf(
+        "seed=%llu;R=%llu;target=%llu;cal=%d;phaseAware=%d;loopInfo=%d;"
+        "patterns=%d",
+        static_cast<unsigned long long>(o.seed),
+        static_cast<unsigned long long>(o.reductionFactor),
+        static_cast<unsigned long long>(o.targetInstructions),
+        o.calibrationRounds, int(o.phaseAware), int(o.useLoopInfo),
+        int(o.usePatterns));
+}
 
 SyntheticBenchmark
 synthesize(const profile::StatisticalProfile &prof,

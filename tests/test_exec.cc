@@ -346,11 +346,12 @@ TEST(ExecMisc, InstructionLimitCountIsExact)
     auto prog = isa::lower(m, isa::targetX86());
     sim::ExecLimits limits;
     limits.maxInstructions = 10000;
-    for (auto engine :
-         {sim::ExecEngine::Predecoded, sim::ExecEngine::Reference}) {
-        limits.engine = engine;
+    using Run = sim::ExecStats (*)(const isa::MachineProgram &,
+                                   sim::ExecObserver *,
+                                   const sim::ExecLimits &);
+    for (Run run : {Run(&sim::execute), Run(&sim::executeReference)}) {
         try {
-            sim::execute(prog, nullptr, limits);
+            run(prog, nullptr, limits);
             FAIL() << "instruction limit did not trigger";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find(

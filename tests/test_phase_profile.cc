@@ -423,10 +423,14 @@ TEST(PhaseSynthesis, MultiPhaseClonesAreStitchedPerPhase)
     EXPECT_EQ(agg.phases, 1u);
     EXPECT_EQ(agg.cSource.find("p1f0"), std::string::npos);
 
-    // A phase budget below the detected count also falls back.
-    synth::SynthesisOptions capped;
-    capped.maxPhases = 2;
-    auto fell = synth::synthesize(p, capped);
+    // A profile with more phases than the synthesizer stitches (8)
+    // also falls back. Repeating the detected phases gets there; the
+    // aggregate SFGL is untouched, so the clone is the aggregate one.
+    profile::StatisticalProfile many = p;
+    while (many.phases.size() <= 8)
+        many.phases.insert(many.phases.end(), p.phases.begin(),
+                           p.phases.end());
+    auto fell = synth::synthesize(many);
     EXPECT_EQ(fell.phases, 1u);
     EXPECT_EQ(fell.cSource, agg.cSource);
 }

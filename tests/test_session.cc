@@ -154,6 +154,102 @@ TEST(Session, CacheHitMissSemantics)
     EXPECT_TRUE(st.synthCached);
 }
 
+TEST(Session, ProfileKeyCoversTheProfilingCacheGeometry)
+{
+    // The profile's miss classes come from the simulated profiling
+    // cache, so sessions sharing one directory but simulating different
+    // geometries must not serve each other's profiles.
+    ScratchDir dir("profgeom");
+    const auto &w = workloads::findWorkload("crc32/small");
+    pipeline::SessionOptions so;
+    so.cacheDir = dir.str();
+    so.threads = 1;
+    bool cached = true;
+    auto base = pipeline::Session(so).profile(w, &cached);
+    EXPECT_FALSE(cached);
+
+    so.profiling.profilingCache = sim::CacheConfig{4, 4, 1};
+    auto tiny = pipeline::Session(so).profile(w, &cached);
+    EXPECT_FALSE(cached);
+    EXPECT_NE(tiny.serialize(), base.serialize());
+}
+
+TEST(Session, EverySettableOptionIsInItsCacheKey)
+{
+    // Against a warm shared directory, changing any one settable
+    // synthesis or profiling value alone recomputes the stage it
+    // shapes. The profiling engine and the instruction limit are left
+    // out of the profile key on purpose (both engines produce the same
+    // bytes; a run over the limit stores nothing), so they hit.
+    ScratchDir dir("keyrows");
+    const auto &w = workloads::findWorkload("crc32/small");
+    pipeline::SessionOptions base;
+    base.cacheDir = dir.str();
+    base.threads = 1;
+    pipeline::Session(base).process(w, fastOptions());
+
+    enum class Miss { None, Profile, Synth };
+    struct Row
+    {
+        const char *name;
+        std::function<void(pipeline::SessionOptions &,
+                           synth::SynthesisOptions &)>
+            change;
+        Miss miss;
+    };
+    const std::vector<Row> rows = {
+        {"seed", [](auto &, auto &s) { s.seed ^= 1; }, Miss::Synth},
+        {"reductionFactor", [](auto &, auto &s) { s.reductionFactor = 5; },
+         Miss::Synth},
+        {"targetInstructions",
+         [](auto &, auto &s) { s.targetInstructions /= 2; }, Miss::Synth},
+        {"calibrationRounds",
+         [](auto &, auto &s) { ++s.calibrationRounds; }, Miss::Synth},
+        {"phaseAware", [](auto &, auto &s) { s.phaseAware = false; },
+         Miss::Synth},
+        {"useLoopInfo", [](auto &, auto &s) { s.useLoopInfo = false; },
+         Miss::Synth},
+        {"usePatterns", [](auto &, auto &s) { s.usePatterns = false; },
+         Miss::Synth},
+        {"profilingCache.sizeBytes",
+         [](auto &o, auto &) { o.profiling.profilingCache.sizeBytes *= 2; },
+         Miss::Profile},
+        {"profilingCache.lineBytes",
+         [](auto &o, auto &) { o.profiling.profilingCache.lineBytes *= 2; },
+         Miss::Profile},
+        {"profilingCache.associativity",
+         [](auto &o, auto &) {
+             o.profiling.profilingCache.associativity *= 2;
+         },
+         Miss::Profile},
+        {"sliceBaseLength",
+         [](auto &o, auto &) { o.profiling.sliceBaseLength = 0; },
+         Miss::Profile},
+        {"maxSliceCheckpoints",
+         [](auto &o, auto &) { o.profiling.maxSliceCheckpoints = 16; },
+         Miss::Profile},
+        {"engine",
+         [](auto &o, auto &) {
+             o.profiling.engine = profile::ProfileEngine::Observer;
+         },
+         Miss::None},
+        {"limits.maxInstructions",
+         [](auto &o, auto &) { o.profiling.limits.maxInstructions /= 2; },
+         Miss::None},
+    };
+    for (const Row &row : rows) {
+        pipeline::SessionOptions so = base;
+        synth::SynthesisOptions opts = fastOptions();
+        row.change(so, opts);
+        pipeline::RunStatus st;
+        pipeline::Session(so).process(w, opts, &st);
+        EXPECT_EQ(st.profileCached, row.miss != Miss::Profile) << row.name;
+        if (row.miss != Miss::Profile) {
+            EXPECT_EQ(st.synthCached, row.miss == Miss::None) << row.name;
+        }
+    }
+}
+
 TEST(Session, DecodeCacheMemoizesCalibrationMeasurements)
 {
     pipeline::Session session; // in-memory decode cache, no disk cache

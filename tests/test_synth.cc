@@ -38,7 +38,7 @@ int main() {
 
 TEST(StreamPlan, NamesAndStrides)
 {
-    synth::StreamPlan plan(16384);
+    synth::StreamPlan plan;
     plan.use(2, false);
     plan.use(0, true);
     EXPECT_EQ(plan.arrayName(2, false), "mStream2");
@@ -58,7 +58,7 @@ TEST(Skeleton, ConsumesAllCountsAndTerminates)
     auto prof = profileSource(loopWorkload);
     auto scaled = synth::scaleDown(prof.sfgl, 10);
     Rng rng(1);
-    auto skeleton = synth::buildSkeleton(scaled, rng);
+    auto skeleton = synth::buildSkeleton(scaled, rng, true, 8, "f");
     ASSERT_FALSE(skeleton.funcs.empty());
     size_t nodes = 0;
     for (const auto &f : skeleton.funcs)
@@ -71,7 +71,7 @@ TEST(Skeleton, LoopInfoProducesLoopNodes)
     auto prof = profileSource(loopWorkload);
     auto scaled = synth::scaleDown(prof.sfgl, 10);
     Rng rng(1);
-    auto skeleton = synth::buildSkeleton(scaled, rng);
+    auto skeleton = synth::buildSkeleton(scaled, rng, true, 8, "f");
 
     std::function<bool(const synth::SynNode &)> hasLoop =
         [&](const synth::SynNode &n) {
@@ -90,10 +90,8 @@ TEST(Skeleton, LoopInfoProducesLoopNodes)
 
     // Ablation: with loop info disabled, no Loop nodes appear (only
     // Repeat wrappers — the prior-work baseline).
-    synth::SkeletonOptions no_loops;
-    no_loops.useLoopInfo = false;
     Rng rng2(1);
-    auto flat = synth::buildSkeleton(scaled, rng2, no_loops);
+    auto flat = synth::buildSkeleton(scaled, rng2, false, 8, "f");
     bool flat_loop = false;
     for (const auto &f : flat.funcs)
         for (const auto &r : f.roots)
@@ -248,7 +246,7 @@ TEST(Synthesizer, StatisticalCodegenAblationStillRuns)
     auto prof = profileSource(loopWorkload);
     synth::SynthesisOptions opts;
     opts.targetInstructions = 5000;
-    opts.emitter.pattern.usePatterns = false; // prior-work baseline
+    opts.usePatterns = false; // prior-work baseline
     auto syn = synth::synthesize(prof, opts);
     auto stats = pipeline::runSource(syn.cSource, "clone",
                                      opt::OptLevel::O0, isa::targetX86());
