@@ -33,12 +33,16 @@ runSource(const std::string &source, const std::string &name,
     return sim::execute(prog);
 }
 
+isa::MachineProgram
+measureProgram(const std::string &source)
+{
+    return isa::lower(lang::compile(source, "measure"), isa::targetX86());
+}
+
 uint64_t
 measureInstructions(const std::string &source)
 {
-    ir::Module mod = lang::compile(source, "measure");
-    isa::MachineProgram prog = isa::lower(mod, isa::targetX86());
-    return sim::execute(prog).instructions;
+    return sim::execute(measureProgram(source)).instructions;
 }
 
 synth::SynthesisOptions

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/machine_program.hh"
 #include "opt/pipeline.hh"
 #include "profile/profiler.hh"
 #include "sim/machine.hh"
@@ -36,7 +37,11 @@ ir::Module compileSource(const std::string &source, const std::string &name,
 sim::ExecStats runSource(const std::string &source, const std::string &name,
                          opt::OptLevel level, const isa::TargetInfo &target);
 
-/** Dynamic instruction count of a source at O0/x86 (calibration). */
+/** The calibration measurement program: @p source compiled at O0 and
+ *  lowered for x86. */
+isa::MachineProgram measureProgram(const std::string &source);
+
+/** Dynamic instruction count of measureProgram(@p source). */
 uint64_t measureInstructions(const std::string &source);
 
 /** One fully processed workload: profile + synthetic clone. */

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "isa/lowering.hh"
 #include "lang/frontend.hh"
 #include "obs/trace.hh"
 #include "sim/decoded_program.hh"
@@ -73,9 +72,7 @@ SessionOptions::SessionOptions() : synthesis(defaultSynthesisOptions()) {}
 struct Session::DecodedMeasure
 {
     explicit DecodedMeasure(const std::string &source)
-        : prog(isa::lower(lang::compile(source, "measure"),
-                          isa::targetX86())),
-          decoded(prog)
+        : prog(measureProgram(source)), decoded(prog)
     {
     }
     DecodedMeasure(const DecodedMeasure &) = delete;
@@ -241,12 +238,6 @@ Session::synthesize(const bsyn::profile::StatisticalProfile &prof,
     return benchmarkFromJson(Json::parse(*text));
 }
 
-synth::SyntheticBenchmark
-Session::synthesize(const bsyn::profile::StatisticalProfile &prof)
-{
-    return synthesize(prof, options_.synthesis);
-}
-
 WorkloadRun
 Session::process(const workloads::Workload &w,
                  const synth::SynthesisOptions &opts, RunStatus *st)
@@ -275,7 +266,7 @@ Session::process(const workloads::Workload &w)
 
 std::vector<RunStatus>
 Session::processSuite(const std::vector<workloads::Workload> &suite,
-                      RunSink &sink, const synth::SynthesisOptions &base)
+                      RunSink &sink)
 {
     std::vector<RunStatus> statuses(suite.size());
     if (suite.empty())
@@ -289,7 +280,7 @@ Session::processSuite(const std::vector<workloads::Workload> &suite,
         WorkloadRun run;
         run.workload = suite[i];
         try {
-            synth::SynthesisOptions so = base;
+            synth::SynthesisOptions so = options_.synthesis;
             so.seed = deriveWorkloadSeed(so.seed, suite[i].name());
             run = process(suite[i], so, &st);
             st.index = i; // process() fills the other fields
@@ -305,13 +296,6 @@ Session::processSuite(const std::vector<workloads::Workload> &suite,
         sink.consume(st, run);
     });
     return statuses;
-}
-
-std::vector<RunStatus>
-Session::processSuite(const std::vector<workloads::Workload> &suite,
-                      RunSink &sink)
-{
-    return processSuite(suite, sink, options_.synthesis);
 }
 
 std::vector<WorkloadRun>

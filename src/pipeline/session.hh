@@ -127,10 +127,6 @@ class Session
     synthesize(const bsyn::profile::StatisticalProfile &prof,
                const synth::SynthesisOptions &opts, bool *cached = nullptr);
 
-    /** Synthesize with the session's default synthesis options. */
-    synth::SyntheticBenchmark
-    synthesize(const bsyn::profile::StatisticalProfile &prof);
-
     /** Profile + synthesize one workload with explicit options (the
      *  seed is used as-is; batch seed derivation happens in
      *  processSuite). @p st, when non-null, receives stage provenance. */
@@ -157,17 +153,12 @@ class Session
     /**
      * Profile + synthesize every workload of @p suite, fanned across
      * the session pool, streaming each finished run into @p sink.
-     * Per-workload seeds derive from @p base's seed and the workload
-     * name, so results are byte-identical for any thread count and for
+     * Per-workload seeds derive from the session's synthesis seed and
+     * the workload name, so results are byte-identical for any thread count and for
      * cold vs. warm cache. A workload failure is reported as a !ok
      * RunStatus (on the sink and in the returned vector, which is in
      * suite order) and never aborts the rest of the batch.
      */
-    std::vector<RunStatus>
-    processSuite(const std::vector<workloads::Workload> &suite,
-                 RunSink &sink, const synth::SynthesisOptions &base);
-
-    /** Batch with the session's default synthesis options. */
     std::vector<RunStatus>
     processSuite(const std::vector<workloads::Workload> &suite,
                  RunSink &sink);

@@ -111,7 +111,6 @@ driveDirect(Drive &d, pipeline::Session &session)
                 d.hists[kProfile]->record(elapsedNs(t0, t1));
 
                 synth::SynthesisOptions so = session.options().synthesis;
-                so.targetInstructions = d.opts.targetInstr;
                 so.seed =
                     pipeline::deriveWorkloadSeed(d.opts.seed, w.name());
                 session.synthesize(prof, so);

@@ -297,12 +297,6 @@ TEST(ProfileSmoke, FusedMatchesReferenceOnShaSmall)
     const auto &w = workloads::findWorkload("sha/small");
     ir::Module m = lang::compile(w.source, w.name());
     expectProfilesIdentical(m, w.name());
-
-    // Belt and braces: the golden observer, which runs on the
-    // *reference* decode-per-step interpreter, agrees too.
-    profile::ProfileOptions golden = observerOptions();
-    EXPECT_EQ(profile::profileModule(m, golden).serialize(),
-              profile::profileModule(m).serialize());
 }
 
 } // namespace

@@ -644,7 +644,8 @@ TEST(Session, ConcurrentCallersComputeEachKeyOnce)
     onThreads(kThreads, [&](size_t t) {
         auto prof = session.profile(w);
         profiles[t] = prof.serialize();
-        clones[t] = session.synthesize(prof).cSource;
+        clones[t] =
+            session.synthesize(prof, session.options().synthesis).cSource;
     });
 
     auto stats = session.cacheStats();
@@ -666,7 +667,8 @@ TEST(Session, ConcurrentCallersComputeEachKeyOnce)
     single.synthesis = fastOptions();
     pipeline::Session reference(single);
     auto prof = reference.profile(w);
-    std::string clone = reference.synthesize(prof).cSource;
+    std::string clone =
+        reference.synthesize(prof, reference.options().synthesis).cSource;
     for (size_t t = 0; t < kThreads; ++t) {
         EXPECT_EQ(profiles[t], prof.serialize()) << t;
         EXPECT_EQ(clones[t], clone) << t;
@@ -859,9 +861,11 @@ TEST(Session, PoolWorkerNeverWaitsOnALeaderBlockedOnThePool)
     session.pool().submit([&] {
         while (session.cacheStats().synthMisses == 0)
             std::this_thread::yield();
-        onWorker.set_value(session.synthesize(prof).cSource);
+        onWorker.set_value(
+            session.synthesize(prof, session.options().synthesis).cSource);
     });
-    std::string direct = session.synthesize(prof).cSource;
+    std::string direct =
+        session.synthesize(prof, session.options().synthesis).cSource;
     EXPECT_EQ(onWorker.get_future().get(), direct);
     EXPECT_EQ(session.cacheStats().synthMisses, 2u);
 }

@@ -2,65 +2,18 @@
  * @file
  * bsyn — command-line front end to the framework. Each subcommand is one
  * stage of the paper's Figure 1 flow, operating on files so the stages
- * can run on different sides of an organizational wall:
+ * can run on different sides of an organizational wall.
  *
- *   bsyn run <prog.c> [-O0..-O3] [--target x86|x86_64|ia64]
- *       compile + execute a MiniC program, print its output and counts
- *   bsyn profile <prog.c> -o <profile.json>
- *       profile at -O0 and write the statistical profile
- *   bsyn synth <profile.json> -o <clone.c> [--target-instr N] [--seed S]
- *       generate the synthetic clone from a profile
- *   bsyn compare <a.c> <b.c>
- *       run both plagiarism detectors on a source pair
- *   bsyn time <prog.c> [-O0..-O3]
- *       run the program on all five Table III machine models
- *   bsyn suite [-o <dir>] [--threads N] [--seed S] [--target-instr N]
- *       profile + synthesize the whole MiBench-analogue suite in one
- *       batch, fanned across a thread pool; --family swaps in
- *       generated workload-family instances
- *   bsyn list
- *       print every suite instance and registered generator family
- *       (with knob schemas and presets)
- *   bsyn gen <family>[,knob=v...][,seed=S] [-o prog.c]
- *       generate one workload-family instance and write its MiniC
- *       source (stdout by default)
- *   bsyn fidelity [-o report.json] [--family <spec>] [--gen-count N]
- *       score clone-vs-original profile agreement per metric across
- *       the Figure-4 suite plus any generated instances, as JSON
- *   bsyn merge -o <out> <in>... [--fidelity]
- *       reunify per-shard suite output directories (or, with
- *       --fidelity, sharded fidelity reports) into the artifact an
- *       unsharded run would have produced, byte-identical
- *   bsyn serve --spool <dir>
- *       long-running worker: claim jobs from the spool directory,
- *       execute them against one warm session, write results, survive
- *       failing workloads; drains gracefully on SIGINT/SIGTERM or the
- *       spool's stop flag
- *   bsyn submit <kind> <workload> --spool <dir>
- *       drop a profile/synth/fidelity job into a spool (optionally
- *       --wait for its result; exits 3 when the result can no longer
- *       arrive — stop flag set with the job unclaimed, or job gone)
- *   bsyn replay --mix <spec> [--schedule <spec>] [--duration SECS]
- *       open-loop traffic replay: submit a seed-deterministic arrival
- *       stream of generated/suite workloads against one warm session
- *       (or, with --spool, through in-process serve workers) and
- *       report per-stage latency percentiles and achieved rate
- *   bsyn help (or --help, -h)
- *       print the usage text to stdout and exit 0
- *
- * suite and fidelity accept --shard i/N: the resolved batch is
- * partitioned by a stable hash of each workload's canonical name, so N
- * processes (or machines) sharing a cache directory each compute a
- * disjoint subset, and `bsyn merge` reassembles the unsharded artifact.
- *
- * profile, synth, suite and fidelity run through a pipeline::Session
- * and accept
- * --cache-dir <dir> (or the BSYN_CACHE_DIR environment variable):
- * profiles and clones are stored content-addressed, so re-running with
- * unchanged inputs recomputes nothing and produces byte-identical
- * output. --no-cache disables the cache even when the variable is set.
+ * The kCommands table at the end of this file is the one home of every
+ * command's synopsis: `bsyn help` prints it, misuse prints it, and the
+ * parser accepts exactly the flags it names (plus the global --trace,
+ * --log-level and --quiet). Exit codes: 0 success; 1 a run failed,
+ * `compare` found similarity, or a submitted job failed; 2 misuse
+ * (unknown command or flag, wrong argument count, missing required
+ * flag, malformed value); 3 `submit --wait` can no longer get a result.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -70,8 +23,9 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gen/fidelity.hh"
@@ -103,8 +57,9 @@ struct Args
     std::string output;
     std::string target = "x86";
     opt::OptLevel level = opt::OptLevel::O0;
-    uint64_t targetInstr = 120000;
-    uint64_t seed = 0xb5e9c0de;
+    uint64_t targetInstr =
+        pipeline::defaultSynthesisOptions().targetInstructions;
+    uint64_t seed = pipeline::defaultSynthesisOptions().seed;
     unsigned threads = 0; ///< 0 = one per hardware thread
     std::string cacheDir; ///< empty = no artifact cache
     bool noCache = false; ///< overrides --cache-dir / BSYN_CACHE_DIR
@@ -203,9 +158,70 @@ parseF64(const std::string &s, const char *what)
     }
 }
 
-Args
-parseArgs(int argc, char **argv, int first)
+/** One subcommand: `bsyn <name> <synopsis>` runs @p run. */
+struct Command
 {
+    const char *name;
+
+    /**
+     * What `bsyn help` and misuse print, and the command's grammar:
+     * each "-x" or "--x" token is a flag the command accepts (required
+     * when outside [...]), and each bare <arg> outside [...] that does
+     * not follow a flag is a positional ("<in>..." takes one or more).
+     */
+    const char *synopsis;
+
+    int (*run)(const Args &);
+};
+
+/** The synopsis name of command-line flag @p a: -j is --threads, any
+ *  -O level is -O0..-O3, and --family=<spec> is --family. */
+std::string
+flagName(const std::string &a)
+{
+    if (a == "-j")
+        return "--threads";
+    if (a.size() == 3 && a[0] == '-' && a[1] == 'O')
+        return "-O0..-O3";
+    if (startsWith(a, "--family="))
+        return "--family";
+    return a;
+}
+
+/** Parse the arguments after `bsyn <cmd>`; fatal() on misuse. */
+Args
+parseArgs(const Command &cmd, int argc, char **argv)
+{
+    // The flags, required flags and positional count cmd's synopsis
+    // names (see Command::synopsis).
+    std::set<std::string> flags{"--trace", "--log-level", "--quiet"};
+    std::vector<std::string> required;
+    size_t minArgs = 0, maxArgs = 0;
+    long depth = 0;
+    bool afterFlag = false;
+    std::istringstream in(cmd.synopsis);
+    for (std::string tok; in >> tok;) {
+        size_t lead = tok.find_first_not_of('[');
+        bool outside = depth == 0 && lead == 0; // not within [...]
+        std::string word = tok.substr(lead);
+        bool flag = word[0] == '-';
+        if (flag) {
+            word = word.substr(0, word.find(']'));
+            flags.insert(word);
+            if (outside)
+                required.push_back(word);
+        } else if (outside && word[0] == '<' && !afterFlag) {
+            bool variadic = word.size() > 3 &&
+                            word.compare(word.size() - 3, 3, "...") == 0;
+            ++minArgs;
+            maxArgs = variadic ? SIZE_MAX : minArgs;
+        }
+        afterFlag = flag;
+        depth += std::count(tok.begin(), tok.end(), '[') -
+                 std::count(tok.begin(), tok.end(), ']');
+    }
+
+    std::set<std::string> seen;
     Args args;
     if (const char *env = std::getenv("BSYN_CACHE_DIR"))
         args.cacheDir = env;
@@ -213,51 +229,63 @@ parseArgs(int argc, char **argv, int first)
         args.traceFile = env;
     if (const char *env = std::getenv("BSYN_LOG"))
         args.logLevel = env;
-    for (int i = first; i < argc; ++i) {
+    for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
-        auto next = [&](const char *what) {
+        if (a.empty() || a[0] != '-') {
+            args.positional.push_back(a);
+            continue;
+        }
+        const std::string name = flagName(a);
+        if (!flags.count(name))
+            fatal("'%s' is not an option of '%s'", a.c_str(), cmd.name);
+        seen.insert(name);
+        auto next = [&] {
             if (i + 1 >= argc)
-                fatal("missing value after %s", what);
+                fatal("missing value after %s", a.c_str());
             return std::string(argv[++i]);
         };
+        auto number = [&](uint64_t lo, uint64_t hi) {
+            uint64_t n = parseU64(next(), a.c_str());
+            if (n < lo || n > hi)
+                fatal("%s %llu is out of range (%llu..%llu)", a.c_str(),
+                      static_cast<unsigned long long>(n),
+                      static_cast<unsigned long long>(lo),
+                      static_cast<unsigned long long>(hi));
+            return n;
+        };
+        const uint64_t any = UINT64_MAX;
         if (a == "-o") {
-            args.output = next("-o");
+            args.output = next();
         } else if (a == "--target") {
-            args.target = next("--target");
+            args.target = next();
             isa::targetByName(args.target); // reject bad names up front
         } else if (a == "--target-instr") {
-            args.targetInstr =
-                parseU64(next("--target-instr"), "--target-instr");
+            args.targetInstr = number(0, any);
         } else if (a == "--seed") {
-            args.seed = parseU64(next("--seed"), "--seed");
+            args.seed = number(0, any);
         } else if (a == "--cache-dir") {
-            args.cacheDir = next("--cache-dir");
+            args.cacheDir = next();
         } else if (a == "--no-cache") {
             args.noCache = true;
-        } else if (a == "--family") {
-            args.families.push_back(next("--family"));
-        } else if (startsWith(a, "--family=")) {
-            args.families.push_back(a.substr(strlen("--family=")));
+        } else if (name == "--family") {
+            args.families.push_back(
+                a == name ? next() : a.substr(strlen("--family=")));
         } else if (a == "--gen-count") {
-            uint64_t n = parseU64(next("--gen-count"), "--gen-count");
-            if (n < 1 || n > 64)
-                fatal("--gen-count %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.genCount = n;
+            args.genCount = number(1, 64);
         } else if (a == "--no-timing") {
             args.noTiming = true;
         } else if (a == "--shard") {
             // Validated here so a malformed spec ("0/3", "4/3", "x/y",
             // "1/0") is an argument error: usage + exit 2.
-            args.shard = serve::parseShardSpec(next("--shard"));
+            args.shard = serve::parseShardSpec(next());
         } else if (a == "--results-only") {
             args.resultsOnly = true;
         } else if (a == "--fidelity") {
             args.mergeFidelity = true;
         } else if (a == "--spool") {
-            args.spool = next("--spool");
+            args.spool = next();
         } else if (a == "--id") {
-            args.jobId = next("--id");
+            args.jobId = next();
             if (!serve::validJobId(args.jobId))
                 fatal("--id '%s' is invalid (need 1..200 chars of "
                       "[A-Za-z0-9._-])",
@@ -267,79 +295,61 @@ parseArgs(int argc, char **argv, int first)
         } else if (a == "--wait") {
             args.wait = true;
         } else if (a == "--timeout") {
-            args.timeoutS = parseU64(next("--timeout"), "--timeout");
+            args.timeoutS = number(0, any);
         } else if (a == "--drain") {
             args.drain = true;
         } else if (a == "--max-jobs") {
-            args.maxJobs = parseU64(next("--max-jobs"), "--max-jobs");
+            args.maxJobs = number(0, any);
         } else if (a == "--poll-ms") {
-            args.pollMs = parseU64(next("--poll-ms"), "--poll-ms");
-            if (args.pollMs < 1 || args.pollMs > 60000)
-                fatal("--poll-ms %llu is out of range (1..60000)",
-                      static_cast<unsigned long long>(args.pollMs));
+            args.pollMs = number(1, 60000);
         } else if (a == "--poll-max-ms") {
-            args.pollMaxMs =
-                parseU64(next("--poll-max-ms"), "--poll-max-ms");
-            if (args.pollMaxMs < 1 || args.pollMaxMs > 600000)
-                fatal("--poll-max-ms %llu is out of range (1..600000)",
-                      static_cast<unsigned long long>(args.pollMaxMs));
+            args.pollMaxMs = number(1, 600000);
         } else if (a == "--reclaim-after") {
-            args.reclaimAfterS =
-                parseF64(next("--reclaim-after"), "--reclaim-after");
+            args.reclaimAfterS = parseF64(next(), "--reclaim-after");
         } else if (a == "--schedule") {
-            args.schedule = next("--schedule");
+            args.schedule = next();
             // Reject a malformed rate model up front: usage + exit 2.
             replay::Schedule::parse(args.schedule);
         } else if (a == "--mix") {
-            args.mix = next("--mix"); // validated after the loop
+            args.mix = next(); // validated after the loop
         } else if (a == "--duration") {
-            args.durationS = parseF64(next("--duration"), "--duration");
+            args.durationS = parseF64(next(), "--duration");
             if (!(args.durationS > 0.0) || args.durationS > 3600.0)
                 fatal("--duration %.3f is out of range (0, 3600]",
                       args.durationS);
         } else if (a == "--population") {
-            uint64_t n =
-                parseU64(next("--population"), "--population");
-            if (n < 1 || n > 64)
-                fatal("--population %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.population = n;
+            args.population = number(1, 64);
         } else if (a == "--workers") {
-            uint64_t n = parseU64(next("--workers"), "--workers");
-            if (n < 1 || n > 64)
-                fatal("--workers %llu is out of range (1..64)",
-                      static_cast<unsigned long long>(n));
-            args.spoolWorkers = static_cast<unsigned>(n);
+            args.spoolWorkers = static_cast<unsigned>(number(1, 64));
         } else if (a == "--trace") {
-            args.traceFile = next("--trace");
+            args.traceFile = next();
         } else if (a == "--log-level") {
-            args.logLevel = next("--log-level");
+            args.logLevel = next();
         } else if (a == "--quiet") {
             args.quiet = true;
         } else if (a == "--phase-slices") {
-            args.phaseSlices =
-                parseU64(next("--phase-slices"), "--phase-slices");
+            args.phaseSlices = number(0, any);
         } else if (a == "--phases") {
             args.showPhases = true;
         } else if (a == "--no-phase-synth") {
             args.noPhaseSynth = true;
         } else if (a == "--only-families") {
             args.onlyFamilies = true;
-        } else if (a == "--threads" || a == "-j") {
-            uint64_t n = parseU64(next(a.c_str()), a.c_str());
-            if (n > 4096)
-                fatal("%s %llu is out of range (max 4096)", a.c_str(),
-                      static_cast<unsigned long long>(n));
-            args.threads = static_cast<unsigned>(n);
-        } else if (a.size() == 3 && a[0] == '-' && a[1] == 'O') {
-            args.level = opt::optLevelByName(a);
-            args.levelSet = true;
-        } else if (!a.empty() && a[0] == '-') {
-            fatal("unknown option '%s'", a.c_str());
+        } else if (name == "--threads") {
+            args.threads = static_cast<unsigned>(number(0, 4096));
         } else {
-            args.positional.push_back(a);
+            args.level = opt::optLevelByName(a); // -O0..-O3
+            args.levelSet = true;
         }
     }
+    for (const auto &flag : required)
+        if (!seen.count(flag))
+            fatal("'%s' requires %s", cmd.name, flag.c_str());
+    const size_t n = args.positional.size();
+    if (n < minArgs || n > maxArgs)
+        fatal("'%s' takes %s%zu argument%s, got %zu", cmd.name,
+              maxArgs == SIZE_MAX ? "at least " : "", minArgs,
+              minArgs == 1 ? "" : "s", n);
     // --mix resolves real workloads and depends on --population, so it
     // validates after the loop (flag order must not matter). A bad mix
     // — unknown family, weights summing to zero, malformed mode ends —
@@ -350,6 +360,25 @@ parseArgs(int argc, char **argv, int first)
     if (!args.logLevel.empty())
         obs::parseLogLevel(args.logLevel);
     return args;
+}
+
+/**
+ * The Session a command's flags ask for. @p batch is how many
+ * workloads it runs at once: the pool is capped there, so a wide
+ * --threads (or a wide machine) never spawns workers that could only
+ * idle.
+ */
+pipeline::SessionOptions
+sessionOptions(const Args &args, size_t batch)
+{
+    pipeline::SessionOptions so;
+    so.threads = pipeline::resolveSuiteThreads(args.threads, batch);
+    so.cacheDir = args.effectiveCacheDir();
+    so.synthesis.targetInstructions = args.targetInstr;
+    so.synthesis.seed = args.seed;
+    so.synthesis.phaseAware = !args.noPhaseSynth;
+    so.profiling.sliceBaseLength = args.phaseSlices;
+    return so;
 }
 
 /**
@@ -394,8 +423,6 @@ generatedSelection(const Args &args)
 int
 cmdRun(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("usage: bsyn run <prog.c> [-O0..-O3] [--target T]");
     std::string src = readFile(args.positional[0]);
     auto stats = pipeline::runSource(src, args.positional[0], args.level,
                                      isa::targetByName(args.target));
@@ -414,14 +441,7 @@ cmdRun(const Args &args)
 int
 cmdProfile(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn profile <prog.c> -o <profile.json> "
-              "[--phase-slices N] [--phases] [--cache-dir D] "
-              "[--no-cache]");
-    pipeline::SessionOptions so;
-    so.cacheDir = args.effectiveCacheDir();
-    so.profiling.sliceBaseLength = args.phaseSlices;
-    pipeline::Session session(so);
+    pipeline::Session session(sessionOptions(args, 1));
 
     bool cached = false;
     auto prof = session.profile(readFile(args.positional[0]),
@@ -460,21 +480,15 @@ cmdProfile(const Args &args)
 int
 cmdSynth(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn synth <profile.json> -o <clone.c> "
-              "[--cache-dir D] [--no-cache]");
-    pipeline::SessionOptions so;
-    so.cacheDir = args.effectiveCacheDir();
-    pipeline::Session session(so);
+    // One clone, but its calibration ladder fans across the pool: no
+    // batch caps the worker count.
+    pipeline::Session session(sessionOptions(args, SIZE_MAX));
 
     auto prof =
         profile::StatisticalProfile::loadFrom(args.positional[0]);
-    synth::SynthesisOptions opts;
-    opts.targetInstructions = args.targetInstr;
-    opts.seed = args.seed;
-    opts.phaseAware = !args.noPhaseSynth;
     bool cached = false;
-    auto syn = session.synthesize(prof, opts, &cached);
+    auto syn =
+        session.synthesize(prof, session.options().synthesis, &cached);
     writeFile(args.output, syn.cSource);
     if (cached) {
         // Skip the measurement run: a warm synth must compute nothing.
@@ -500,8 +514,6 @@ cmdSynth(const Args &args)
 int
 cmdCompare(const Args &args)
 {
-    if (args.positional.size() < 2)
-        fatal("usage: bsyn compare <a.c> <b.c>");
     auto report =
         similarity::compareSources(readFile(args.positional[0]),
                                    readFile(args.positional[1]));
@@ -518,8 +530,6 @@ cmdCompare(const Args &args)
 int
 cmdTime(const Args &args)
 {
-    if (args.positional.empty())
-        fatal("usage: bsyn time <prog.c> [-O0..-O3]");
     std::string src = readFile(args.positional[0]);
     std::printf("%-20s %12s %8s %10s\n", "machine", "cycles", "CPI",
                 "time(us)");
@@ -536,13 +546,6 @@ cmdTime(const Args &args)
 int
 cmdSuite(const Args &args)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn suite [-o <dir>] [--threads N] [--seed S] "
-              "[--target-instr N] [--family <spec>] [--gen-count N] "
-              "[--shard i/N] [--cache-dir D] [--no-cache] — unexpected "
-              "argument '%s'",
-              args.positional[0].c_str());
-
     // --family swaps the batch from the MiBench-analogue suite to
     // generated family instances; everything downstream (cache,
     // sinks, seeds) treats them identically.
@@ -561,16 +564,7 @@ cmdSuite(const Args &args)
                   "[bsyn] shard %s: %zu of %zu workloads",
                   args.shard.str().c_str(), suite.size(), sharded.total);
 
-    // Cap the pool at the batch width so a wide --threads (or a wide
-    // machine) never spawns workers that could only idle.
-    const unsigned threads =
-        pipeline::resolveSuiteThreads(args.threads, suite.size());
-    pipeline::SessionOptions so;
-    so.threads = threads;
-    so.cacheDir = args.effectiveCacheDir();
-    so.synthesis.targetInstructions = args.targetInstr;
-    so.synthesis.seed = args.seed;
-    pipeline::Session session(std::move(so));
+    pipeline::Session session(sessionOptions(args, suite.size()));
 
     // Sinks: stream clones/profiles to disk as they finish (when -o is
     // given), log progress, and collect for the summary table.
@@ -633,7 +627,8 @@ cmdSuite(const Args &args)
     obs::logf(obs::LogLevel::Info,
               "[bsyn] %zu/%zu workloads synthesized on %u threads "
               "in %.2fs%s%s",
-              runs.size(), statuses.size(), threads, secs,
+              runs.size(), statuses.size(), session.options().threads,
+              secs,
               args.output.empty() ? "" : ", clones written to ",
               args.output.c_str());
     if (session.cache().enabled()) {
@@ -652,12 +647,8 @@ cmdSuite(const Args &args)
 }
 
 int
-cmdList(const Args &args)
+cmdList(const Args &)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn list — unexpected argument '%s'",
-              args.positional[0].c_str());
-
     std::printf("suite instances (%zu):\n",
                 workloads::mibenchSuite().size());
     std::string last;
@@ -690,9 +681,6 @@ cmdList(const Args &args)
 int
 cmdGen(const Args &args)
 {
-    if (args.positional.size() != 1)
-        fatal("usage: bsyn gen <family>[,knob=v...][,seed=S] "
-              "[-o prog.c]");
     gen::InstanceSpec spec = gen::parseSpec(args.positional[0]);
     workloads::Workload w = gen::instantiateSpec(spec);
     if (args.output.empty())
@@ -711,14 +699,6 @@ cmdGen(const Args &args)
 int
 cmdFidelity(const Args &args)
 {
-    if (!args.positional.empty())
-        fatal("usage: bsyn fidelity [-o report.json] [--family <spec>] "
-              "[--gen-count N] [--only-families] [--seed S] "
-              "[--target-instr N] [-O0..-O3] [--no-timing] "
-              "[--phase-slices N] [--no-phase-synth] [--threads N] "
-              "[--cache-dir D] [--no-cache] — unexpected argument '%s'",
-              args.positional[0].c_str());
-
     // Scope: every Figure-4 instance (unless --only-families), plus
     // every generated instance the --family selection adds.
     auto t0 = std::chrono::steady_clock::now();
@@ -743,15 +723,7 @@ cmdFidelity(const Args &args)
                   "[bsyn] shard %s: %zu of %zu instances",
                   args.shard.str().c_str(), batch.size(), sharded.total);
 
-    pipeline::SessionOptions so;
-    so.threads = pipeline::resolveSuiteThreads(args.threads,
-                                               batch.size());
-    so.cacheDir = args.effectiveCacheDir();
-    so.synthesis.targetInstructions = args.targetInstr;
-    so.synthesis.seed = args.seed;
-    so.synthesis.phaseAware = !args.noPhaseSynth;
-    so.profiling.sliceBaseLength = args.phaseSlices;
-    pipeline::Session session(std::move(so));
+    pipeline::Session session(sessionOptions(args, batch.size()));
 
     gen::FidelityOptions fo;
     fo.synthesis = session.options().synthesis;
@@ -827,11 +799,6 @@ cmdFidelity(const Args &args)
 int
 cmdMerge(const Args &args)
 {
-    if (args.positional.empty() || args.output.empty())
-        fatal("usage: bsyn merge -o <out> <in>... [--fidelity] — "
-              "merge per-shard suite directories (or, with --fidelity, "
-              "sharded fidelity reports) into the unsharded artifact");
-
     if (args.mergeFidelity) {
         std::vector<Json> reports;
         for (const auto &path : args.positional)
@@ -871,11 +838,6 @@ serveSignalHandler(int)
 int
 cmdServe(const Args &args)
 {
-    if (args.spool.empty() || !args.positional.empty())
-        fatal("usage: bsyn serve --spool <dir> [--cache-dir D] "
-              "[--threads N] [--drain] [--max-jobs N] [--poll-ms N] "
-              "[--poll-max-ms N] [--reclaim-after SECS]");
-
     serve::WorkerOptions wo;
     wo.spoolDir = args.spool;
     wo.cacheDir = args.effectiveCacheDir();
@@ -916,11 +878,6 @@ cmdServe(const Args &args)
 int
 cmdSubmit(const Args &args)
 {
-    if (args.positional.size() != 2 || args.spool.empty())
-        fatal("usage: bsyn submit <profile|synth|fidelity> <workload> "
-              "--spool <dir> [--id I] [--seed S] [--target-instr N] "
-              "[--timing] [--wait] [--timeout SECS]");
-
     serve::Spool spool(args.spool);
     serve::Job job;
     job.kind = args.positional[0];
@@ -980,13 +937,6 @@ cmdSubmit(const Args &args)
 int
 cmdReplay(const Args &args)
 {
-    if (!args.positional.empty() || args.mix.empty())
-        fatal("usage: bsyn replay --mix <spec> [--schedule <spec>] "
-              "[--duration SECS] [--seed S] [--threads N] "
-              "[--population N] [--target-instr N] [-o traffic.json] "
-              "[--results-only] [--spool <dir> [--workers N] "
-              "[--timeout SECS]] [--cache-dir D] [--no-cache]");
-
     replay::ReplayOptions ro;
     ro.scheduleSpec = args.schedule;
     ro.mixSpec = args.mix;
@@ -1037,44 +987,76 @@ cmdReplay(const Args &args)
     return report.failCount ? 1 : 0;
 }
 
+/** Every command; a '\n' in a synopsis is where `bsyn help` wraps. */
+const Command kCommands[] = {
+    {"run", "<prog.c> [-O0..-O3] [--target x86|x86_64|ia64]", cmdRun},
+    {"profile",
+     "<prog.c> -o <profile.json> [--phase-slices N] [--phases]\n"
+     "[--cache-dir D] [--no-cache]",
+     cmdProfile},
+    {"synth",
+     "<profile.json> -o <clone.c> [--target-instr N] [--seed S]\n"
+     "[--no-phase-synth] [--cache-dir D] [--no-cache]",
+     cmdSynth},
+    {"compare", "<a.c> <b.c>", cmdCompare},
+    {"time", "<prog.c> [-O0..-O3]", cmdTime},
+    {"suite",
+     "[-o <dir>] [--threads N] [--seed S] [--target-instr N]\n"
+     "[--family <spec>] [--gen-count N] [--shard i/N]\n"
+     "[--cache-dir D] [--no-cache]",
+     cmdSuite},
+    {"list", "", cmdList},
+    {"gen", "<family>[,knob=v...][,seed=S] [-o prog.c]", cmdGen},
+    {"fidelity",
+     "[-o report.json] [--family <spec>] [--gen-count N]\n"
+     "[--only-families] [--seed S] [--target-instr N] [-O0..-O3]\n"
+     "[--no-timing] [--phase-slices N] [--no-phase-synth] [--phases]\n"
+     "[--threads N] [--shard i/N] [--results-only]\n"
+     "[--cache-dir D] [--no-cache]",
+     cmdFidelity},
+    {"merge", "-o <out> <in>... [--fidelity]", cmdMerge},
+    {"serve",
+     "--spool <dir> [--cache-dir D] [--no-cache] [--threads N]\n"
+     "[--drain] [--max-jobs N] [--poll-ms N] [--poll-max-ms N]\n"
+     "[--reclaim-after SECS]",
+     cmdServe},
+    {"submit",
+     "<profile|synth|fidelity> <workload> --spool <dir>\n"
+     "[--id I] [--seed S] [--target-instr N] [--timing] [--wait]\n"
+     "[--timeout SECS]",
+     cmdSubmit},
+    {"replay",
+     "--mix <spec> [--schedule <spec>] [--duration SECS]\n"
+     "[--seed S] [--threads N] [--population N] [--target-instr N]\n"
+     "[-o traffic.json] [--results-only] [--spool <dir>]\n"
+     "[--workers N] [--timeout SECS] [--cache-dir D] [--no-cache]",
+     cmdReplay},
+};
+
+/** Print "<lead><name> <synopsis>", indenting each continuation line
+ *  under the synopsis's first token. */
 void
-usage(FILE *out = stderr)
+printSynopsis(FILE *out, const std::string &lead, const Command &cmd)
 {
+    std::string text = lead + cmd.name;
+    const std::string indent(text.size() + 1, ' ');
+    if (*cmd.synopsis)
+        text = text + " " + cmd.synopsis;
+    for (size_t at = text.find('\n'); at != std::string::npos;
+         at = text.find('\n', at + 1))
+        text.insert(at + 1, indent);
+    std::fprintf(out, "%s\n", text.c_str());
+}
+
+void
+usage(FILE *out)
+{
+    std::fprintf(out, "bsyn — benchmark synthesis for architecture and "
+                      "compiler exploration\n\n");
+    for (const auto &cmd : kCommands)
+        printSynopsis(out, "  bsyn ", cmd);
     std::fprintf(
         out,
-        "bsyn — benchmark synthesis for architecture and compiler "
-        "exploration\n\n"
-        "  bsyn run <prog.c> [-O0..-O3] [--target x86|x86_64|ia64]\n"
-        "  bsyn profile <prog.c> -o <profile.json>\n"
-        "  bsyn synth <profile.json> -o <clone.c> [--target-instr N] "
-        "[--seed S]\n"
-        "  bsyn compare <a.c> <b.c>\n"
-        "  bsyn time <prog.c> [-O0..-O3]\n"
-        "  bsyn suite [-o <dir>] [--threads N] [--seed S] "
-        "[--target-instr N]\n"
-        "             [--family <spec>] [--gen-count N]\n"
-        "  bsyn list\n"
-        "  bsyn gen <family>[,knob=v...][,seed=S] [-o prog.c]\n"
-        "  bsyn fidelity [-o report.json] [--family <spec>] "
-        "[--gen-count N]\n"
-        "                [--only-families] [-O0..-O3] [--no-timing]\n"
-        "                [--phase-slices N] [--no-phase-synth] "
-        "[--phases]\n"
-        "  bsyn merge -o <out> <in>... [--fidelity]\n"
-        "  bsyn serve --spool <dir> [--cache-dir D] [--threads N] "
-        "[--drain]\n"
-        "             [--max-jobs N] [--poll-ms N] [--poll-max-ms N]\n"
-        "             [--reclaim-after SECS]\n"
-        "  bsyn submit <profile|synth|fidelity> <workload> --spool "
-        "<dir>\n"
-        "              [--id I] [--seed S] [--target-instr N] "
-        "[--timing]\n"
-        "              [--wait] [--timeout SECS]\n"
-        "  bsyn replay --mix <spec> [--schedule <spec>] [--duration "
-        "SECS]\n"
-        "              [--seed S] [--threads N] [--population N] "
-        "[-o out.json]\n"
-        "              [--results-only] [--spool <dir> [--workers N]]\n"
         "  bsyn help | --help | -h\n"
         "\n"
         "replay schedules are 'constant,rate=R', "
@@ -1085,14 +1067,13 @@ usage(FILE *out = stderr)
         "('fp_kernel,seed=2') or instance ('crc32/small').\n"
         "an idle worker backs off exponentially from --poll-ms to "
         "--poll-max-ms;\n--reclaim-after moves claims older than SECS "
-        "back to new/ (crash\nrecovery). submit --wait exits 3 when "
-        "the result can no longer arrive.\n"
+        "back to new/ (crash\nrecovery).\n"
         "\n"
-        "suite and fidelity accept --shard i/N (1-based): the resolved "
-        "batch is\npartitioned by a stable hash of each workload name; "
-        "bsyn merge\nreassembles per-shard outputs into the unsharded "
-        "artifact,\nbyte-identical. fidelity --results-only writes the "
-        "deterministic\n(mergeable) half of the report only.\n"
+        "--shard i/N (1-based) partitions the resolved batch by a stable "
+        "hash of\neach workload name; bsyn merge reassembles per-shard "
+        "outputs into the\nunsharded artifact, byte-identical. fidelity "
+        "--results-only writes the\ndeterministic (mergeable) half of "
+        "the report only.\n"
         "profile and fidelity slice the run every --phase-slices "
         "retired\ninstructions (0 disables) and detect program phases; "
         "--phases prints\nthe per-phase detail and --no-phase-synth "
@@ -1101,47 +1082,16 @@ usage(FILE *out = stderr)
         "every\npublished preset) or 'name[,knob=value...][,seed=S]' "
         "(repeatable);\nbsyn list prints the registered families and "
         "their knobs.\n"
-        "profile/synth/suite/fidelity also accept --cache-dir <dir> "
-        "and --no-cache;\nBSYN_CACHE_DIR sets the default cache "
-        "directory.\n"
+        "BSYN_CACHE_DIR sets the default --cache-dir; --no-cache "
+        "disables the cache.\n"
         "every command accepts --trace <file> (write a Chrome "
         "trace-event JSON\nof the run's stage spans; BSYN_TRACE sets "
         "the default), --log-level\ndebug|info|warn|error|silent "
-        "(BSYN_LOG) and --quiet (errors only).\n");
-}
-
-int
-runCommand(const std::string &cmd, const Args &args)
-{
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "profile")
-        return cmdProfile(args);
-    if (cmd == "synth")
-        return cmdSynth(args);
-    if (cmd == "compare")
-        return cmdCompare(args);
-    if (cmd == "time")
-        return cmdTime(args);
-    if (cmd == "suite")
-        return cmdSuite(args);
-    if (cmd == "list")
-        return cmdList(args);
-    if (cmd == "gen")
-        return cmdGen(args);
-    if (cmd == "fidelity")
-        return cmdFidelity(args);
-    if (cmd == "merge")
-        return cmdMerge(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "submit")
-        return cmdSubmit(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    std::fprintf(stderr, "bsyn: unknown command '%s'\n", cmd.c_str());
-    usage();
-    return 2;
+        "(BSYN_LOG) and --quiet (errors only).\n"
+        "\n"
+        "exit codes: 0 success; 1 a run failed, compare found "
+        "similarity or a\nsubmitted job failed; 2 misuse; 3 submit "
+        "--wait can no longer get a result.\n");
 }
 
 } // namespace
@@ -1150,24 +1100,37 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        usage();
+        usage(stderr);
         return 2;
     }
-    std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    const std::string name = argv[1];
+    if (name == "--help" || name == "-h" || name == "help") {
         usage(stdout);
         return 0;
     }
+    const Command *cmd = nullptr;
+    for (const auto &c : kCommands)
+        if (name == c.name)
+            cmd = &c;
+    if (!cmd) {
+        std::fprintf(stderr, "bsyn: unknown command '%s'\n", name.c_str());
+        usage(stderr);
+        return 2;
+    }
 
-    // Argument errors (unknown flag, bad --target, malformed number)
-    // print the usage text and exit 2; failures while carrying out a
-    // valid request exit 1.
+    // Misuse (an unknown flag, a wrong argument count, a missing
+    // required flag, a malformed value) prints the command's synopsis
+    // and exits 2; failures while carrying out a valid request exit 1.
     Args args;
     try {
-        args = parseArgs(argc, argv, 2);
+        args = parseArgs(*cmd, argc, argv);
     } catch (const FatalError &e) {
-        std::fprintf(stderr, "bsyn: %s\n", e.what());
-        usage();
+        // Misuse reads "bsyn: <what went wrong>", without fatal()'s tag.
+        std::string what = e.what();
+        if (startsWith(what, "fatal: "))
+            what.erase(0, strlen("fatal: "));
+        std::fprintf(stderr, "bsyn: %s\n", what.c_str());
+        printSynopsis(stderr, "usage: bsyn ", *cmd);
         return 2;
     }
 
@@ -1181,7 +1144,7 @@ main(int argc, char **argv)
 
     int rc;
     try {
-        rc = runCommand(cmd, args);
+        rc = cmd->run(args);
     } catch (const FatalError &e) {
         obs::logf(obs::LogLevel::Error, "%s", e.what());
         rc = 1;
